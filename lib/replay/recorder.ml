@@ -103,8 +103,12 @@ module Make (P : Protocol.S) = struct
      (and its GC marking) from the recording hot path. *)
   let push t ~round ~node ~cause ~state =
     let i = t.next in
-    if t.total >= t.capacity then
-      t.max_dropped_round <- max t.max_dropped_round (Array.unsafe_get t.ring_round i);
+    (* int comparisons here and in [record_write]: the polymorphic [max]
+       is a C call per recorded write *)
+    if t.total >= t.capacity then begin
+      let r = Array.unsafe_get t.ring_round i in
+      if r > t.max_dropped_round then t.max_dropped_round <- r
+    end;
     Array.unsafe_set t.ring_round i round;
     Array.unsafe_set t.ring_node i node;
     Array.unsafe_set t.ring_cause i cause;
@@ -193,7 +197,7 @@ module Make (P : Protocol.S) = struct
     end;
     push t ~round ~node ~cause ~state:s';
     if not t.shared_live then t.live.(node) <- s';
-    t.cur_round <- max t.cur_round round
+    if round > t.cur_round then t.cur_round <- round
 
   (* [Network.Make.set_write_hook]-shaped glue.  [states] must be the
      engine's own (live) register array: the recorder aliases it instead of
@@ -223,7 +227,7 @@ module Make (P : Protocol.S) = struct
           in
           record_write t ~round ~node:v ~old:t.live.(v) ~cause s)
       states;
-    t.cur_round <- max t.cur_round round
+    if round > t.cur_round then t.cur_round <- round
 
   (* ---------------- reconstruction ---------------- *)
 

@@ -69,10 +69,11 @@ val choose_victims : Random.State.t -> Graph.t -> t -> int list
     RNG state, the graph and the model.  [Uniform] consumes the RNG exactly
     as the historical sampler did (distinct rejection draws). *)
 
-(** The severity semantics over a concrete protocol.  Both {!Network.Naive}
-    and {!Network.Make} funnel injection through {!Apply.apply} so the two
-    engines corrupt the same victims, in the same (ascending) order, with
-    the same RNG consumption. *)
+(** The severity semantics over a concrete protocol.  {!Network.Naive} and
+    the event-driven engine ({!Network.Make}, {!Network.Flat}) funnel
+    injection through {!Apply.apply} so every engine corrupts the same
+    victims, in the same (ascending) order, with the same RNG
+    consumption. *)
 module Apply (P : Protocol.S) : sig
   val corrupt_one : Random.State.t -> Graph.t -> severity -> int -> P.state -> P.state
   (** The new register of victim [v] under the given severity. *)

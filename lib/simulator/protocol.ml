@@ -20,8 +20,9 @@ module type S = sig
       returns the current register of the neighbour with node index [u]
       (only neighbours of [v] may be read).  Returns the new register.
       [step] must be deterministic in its arguments: the event-driven engine
-      ({!Network.Make}) skips activations whose inputs are unchanged since
-      the node's last no-op step, which is only sound for pure steps. *)
+      ({!Network.Make}, {!Network.Flat}) skips activations whose inputs are
+      unchanged since the node's last no-op step, which is only sound for
+      pure steps. *)
 
   val equal : state -> state -> bool
   (** Register equality.  The engine uses it to decide whether an activation

@@ -1,12 +1,12 @@
 (** Ring-buffered typed execution traces for the event-driven engine.
 
-    Attach a trace to a {!Network.Make} instance and every activation,
-    register write, alarm transition, fault injection and convergence check
-    is recorded as a typed event; the observability layer ([Ssmst_obs])
-    additionally records phase-span marks and online-monitor verdicts.  The
-    buffer is bounded: once [capacity] events are held, the oldest are
-    dropped (and counted in {!dropped}), so tracing an arbitrarily long run
-    costs O(capacity) memory. *)
+    Attach a trace to a {!Network.Make} or {!Network.Flat} instance and
+    every activation, register write, alarm transition, fault injection and
+    convergence check is recorded as a typed event; the observability layer
+    ([Ssmst_obs]) additionally records phase-span marks and online-monitor
+    verdicts.  The buffer is bounded: once [capacity] events are held, the
+    oldest are dropped (and counted in {!dropped}), so tracing an
+    arbitrarily long run costs O(capacity) memory. *)
 
 type cause =
   | Init  (** an external write creating state from nothing *)

@@ -202,6 +202,10 @@ module Watcher = struct
   let corrupt_field _ _ _ (_ : state) = true
   let field_names = [| "alarmed" |]
   let encode (s : state) = [| Bool.to_int s |]
+  let words _ = 1
+  let field_offsets _ = [| 0 |]
+  let pack _ _ s buf off = buf.(off) <- Bool.to_int s
+  let unpack _ _ buf off = buf.(off) <> 0
 end
 
 let two_components () = Graph.of_edges ~n:4 [ (0, 1, 1); (2, 3, 1) ]
@@ -325,10 +329,63 @@ let campaign_records_actual_n () =
 
 (* ---------------- restore is metrics/trace-neutral ---------------- *)
 
-(* The campaign-trial rewind: installing a snapshot must not count
-   register writes, stamp last-write rounds, or emit trace events — the
-   old [set_state] loop did all three, poisoning every per-trial metric
-   read before the injection. *)
+(* The restore contract, checked on both event-driven engines. *)
+module Restore_checks (P : Protocol.S) (Net : sig
+  type t
+
+  val create : ?trace:Trace.t -> ?domains:int -> Graph.t -> t
+  val restore : t -> P.state array -> unit
+  val metrics : t -> Metrics.t
+  val last_write_round : t -> int -> int
+  val state : t -> int -> P.state
+  val any_alarm : t -> bool
+  val inject : t -> Random.State.t -> Fault.t -> int list
+  val detection_distance : t -> faults:int list -> int option
+end) =
+struct
+  (* The campaign-trial rewind: installing a snapshot must not count
+     register writes, stamp last-write rounds, or emit trace events — the
+     old [set_state] loop did all three, poisoning every per-trial metric
+     read before the injection. *)
+  let neutral engine g snapshot =
+    let ctx what = engine ^ ": " ^ what in
+    let tr = Trace.create () in
+    let net = Net.create ~trace:tr g in
+    Net.restore net snapshot;
+    Alcotest.(check int) (ctx "no register writes") 0 (Net.metrics net).Metrics.register_writes;
+    Alcotest.(check int) (ctx "no alarms raised") 0 (Net.metrics net).Metrics.alarms_raised;
+    Alcotest.(check int) (ctx "no trace events") 0 (Trace.total tr);
+    for v = 0 to Graph.n g - 1 do
+      Alcotest.(check int) (ctx "last_write untouched") 0 (Net.last_write_round net v);
+      Alcotest.(check bool) (ctx "state installed") true (P.equal (Net.state net v) snapshot.(v))
+    done;
+    Alcotest.(check bool) (ctx "settled snapshot is silent") false (Net.any_alarm net);
+    (* from here on, writes are protocol work and must count again *)
+    let victims = Net.inject net (rng 9) (Fault.uniform ~count:1) in
+    Alcotest.(check int) (ctx "one victim") 1 (List.length victims);
+    Alcotest.(check int)
+      (ctx "injection is the first counted write")
+      1 (Net.metrics net).Metrics.register_writes;
+    Alcotest.check_raises (ctx "size mismatch rejected")
+      (Invalid_argument "Network.restore: snapshot size does not match the network") (fun () ->
+        Net.restore net (Array.sub snapshot 0 3))
+
+  (* restore must still rebuild the alarm flags it does not trace: a
+     snapshot with a latched alarm makes [any_alarm] true immediately,
+     while [alarms_raised] (a transition counter) stays 0. *)
+  let rebuilds_alarms engine g snapshot =
+    let ctx what = engine ^ ": " ^ what in
+    let net = Net.create g in
+    Net.restore net snapshot;
+    Alcotest.(check bool) (ctx "alarm visible") true (Net.any_alarm net);
+    Alcotest.(check int) (ctx "but not counted as a transition") 0
+      (Net.metrics net).Metrics.alarms_raised;
+    Alcotest.(check (option int))
+      (ctx "detection distance reads the restored flags")
+      (Some 1)
+      (Net.detection_distance net ~faults:[ 2 ])
+end
+
 let restore_neutral () =
   let g = graph 71 16 in
   let m = Marker.run g in
@@ -341,42 +398,18 @@ let restore_neutral () =
   let settle = Net.create g in
   Net.run settle Scheduler.Sync ~rounds:(8 * Verifier.window_bound m.Marker.labels.(0));
   let snapshot = Array.copy (Net.states settle) in
-  let tr = Trace.create () in
-  let net = Net.create ~trace:tr g in
-  Net.restore net snapshot;
-  Alcotest.(check int) "no register writes" 0 (Net.metrics net).Metrics.register_writes;
-  Alcotest.(check int) "no alarms raised" 0 (Net.metrics net).Metrics.alarms_raised;
-  Alcotest.(check int) "no trace events" 0 (Trace.total tr);
-  for v = 0 to Graph.n g - 1 do
-    Alcotest.(check int) "last_write untouched" 0 (Net.last_write_round net v);
-    Alcotest.(check bool) "state installed" true (P.equal (Net.state net v) snapshot.(v))
-  done;
-  Alcotest.(check bool) "settled snapshot is silent" false (Net.any_alarm net);
-  (* from here on, writes are protocol work and must count again *)
-  let victims = Net.inject net (rng 9) (Fault.uniform ~count:1) in
-  Alcotest.(check int) "one victim" 1 (List.length victims);
-  Alcotest.(check int)
-    "injection is the first counted write" 1
-    (Net.metrics net).Metrics.register_writes;
-  Alcotest.check_raises "size mismatch rejected"
-    (Invalid_argument "Network.restore: snapshot size does not match the network") (fun () ->
-      Net.restore net (Array.sub snapshot 0 3))
+  let module Make_checks = Restore_checks (P) (Net) in
+  let module Flat_checks = Restore_checks (P) (Network.Flat (P)) in
+  Make_checks.neutral "make" g snapshot;
+  Flat_checks.neutral "flat" g snapshot
 
-(* restore must still rebuild the alarm flags it does not trace: a
-   snapshot with a latched alarm makes [any_alarm] true immediately,
-   while [alarms_raised] (a transition counter) stays 0. *)
 let restore_rebuilds_alarms () =
-  let module Net = Network.Make (Watcher) in
   let g = graph 73 8 in
-  let net = Net.create g in
   let snapshot = Array.init (Graph.n g) (fun v -> v = 3) in
-  Net.restore net snapshot;
-  Alcotest.(check bool) "alarm visible" true (Net.any_alarm net);
-  Alcotest.(check int) "but not counted as a transition" 0
-    (Net.metrics net).Metrics.alarms_raised;
-  Alcotest.(check (option int))
-    "detection distance reads the restored flags" (Some 1)
-    (Net.detection_distance net ~faults:[ 2 ])
+  let module Make_checks = Restore_checks (Watcher) (Network.Make (Watcher)) in
+  let module Flat_checks = Restore_checks (Watcher) (Network.Flat (Watcher)) in
+  Make_checks.rebuilds_alarms "make" g snapshot;
+  Flat_checks.rebuilds_alarms "flat" g snapshot
 
 (* ---------------- sync-round write order ---------------- *)
 

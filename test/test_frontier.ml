@@ -13,11 +13,12 @@ open Ssmst_protocols
       contributes exactly one live entry after compaction, in the
       structure itself and through both engines' async rounds (stale
       entries must not accumulate across rounds);
-   3. golden traces — the per-round event order of {!Network.Make} is
-      byte-identical to the list-frontier engine this structure replaced:
-      the (round, node) register-write sequences of a fixed faulted-grid
-      scenario under all three daemons match digests captured on the
-      pre-dense-frontier engine;
+   3. golden traces — the per-round event order of {!Network.Make} and of
+      {!Network.Flat} with a trace attached is byte-identical to the
+      list-frontier engine this structure replaced: the (round, node)
+      register-write sequences of a fixed faulted-grid scenario under all
+      three daemons match digests captured on the pre-dense-frontier
+      engine;
    4. accounting parity — [wasted_steps]/[skipped_activations] are
       identical between the sequential and domain-parallel branches of
       [sync_round], read directly off the counters (not just through the
@@ -176,29 +177,41 @@ let golden =
       1051043249 );
   ]
 
+(* The scenario, run on either engine: [inject] and [round] close over a
+   network created with the trace attached. *)
+let traced_writes ~inject ~round tr daemon =
+  for r = 1 to 12 do
+    if r mod 4 = 1 then ignore (inject (Gen.rng (6600 + r)) (Fault.uniform ~count:3));
+    round daemon
+  done;
+  let acc = ref [] in
+  Trace.iter
+    (function
+      | Trace.Register_write { round; node; _ } -> acc := (round, node) :: !acc
+      | _ -> ())
+    tr;
+  List.rev !acc
+
 let test_golden_traces () =
   List.iter
     (fun (name, daemon_of, expect_len, expect_digest) ->
       let g = Gen.grid (Gen.rng 6600) 5 5 in
-      let tr = Trace.create ~capacity:200_000 () in
-      let net = E.create ~trace:tr g in
-      let daemon = daemon_of () in
-      for r = 1 to 12 do
-        if r mod 4 = 1 then
-          ignore (E.inject net (Gen.rng (6600 + r)) (Fault.uniform ~count:3));
-        E.round net daemon
-      done;
-      let acc = ref [] in
-      Trace.iter
-        (function
-          | Trace.Register_write { round; node; _ } -> acc := (round, node) :: !acc
-          | _ -> ())
-        tr;
-      let l = List.rev !acc in
-      Alcotest.(check int) (name ^ ": write count matches the list frontier") expect_len
-        (List.length l);
-      Alcotest.(check int) (name ^ ": write order matches the list frontier") expect_digest
-        (digest l))
+      let make =
+        let tr = Trace.create ~capacity:200_000 () in
+        let net = E.create ~trace:tr g in
+        traced_writes ~inject:(E.inject net) ~round:(E.round net) tr (daemon_of ())
+      in
+      let flat =
+        let tr = Trace.create ~capacity:200_000 () in
+        let net = F.create ~trace:tr g in
+        traced_writes ~inject:(F.inject net) ~round:(F.round net) tr (daemon_of ())
+      in
+      List.iter
+        (fun (engine, l) ->
+          let ctx what = Fmt.str "%s, %s: write %s matches the list frontier" name engine what in
+          Alcotest.(check int) (ctx "count") expect_len (List.length l);
+          Alcotest.(check int) (ctx "order") expect_digest (digest l))
+        [ ("make", make); ("flat", flat) ])
     golden
 
 (* Sync-round activations must come out strictly ascending within every

@@ -255,6 +255,79 @@ let test_metrics_rows () =
   Alcotest.(check bool) "json row shaped" true
     (String.length j > 2 && j.[0] = '{' && j.[String.length j - 1] = '}')
 
+(* ---------------- read causes ---------------- *)
+
+(* A counter protocol whose steps read neighbours in order, in reverse,
+   with gaps, with repeats, or not at all, chosen by node and register, so
+   every write's cause has a known answer: the sorted distinct ports its
+   step read. *)
+module Mixed_reads = struct
+  type state = int
+
+  let pattern g v own =
+    let deg = Graph.degree g v in
+    let ports = List.init deg Fun.id in
+    match (v + own) mod 6 with
+    | 0 -> ports
+    | 1 -> List.rev ports
+    | 2 -> List.filter (fun p -> p mod 2 = 0) ports
+    | 3 -> List.filteri (fun i _ -> i < deg / 2) ports @ [ 0 ]
+    | 4 -> List.filter (fun p -> p mod 2 = 1) (List.rev ports @ ports)
+    | _ -> []
+
+  let init _ _ = 0
+
+  let step g v own read =
+    List.iter (fun p -> ignore (read (Graph.peer_at g v p))) (pattern g v own);
+    if own < 6 then own + 1 else own
+
+  let alarm _ = false
+  let equal = Int.equal
+  let bits _ = 3
+  let corrupt _ _ _ _ = 0
+  let corrupt_field _ _ _ (_ : state) = 0
+  let field_names = [| "count" |]
+  let encode (s : state) = [| s |]
+  let words _ = 1
+  let field_offsets _ = [| 0 |]
+  let pack _ _ s buf off = buf.(off) <- s
+  let unpack _ _ buf off = buf.(off)
+end
+
+module Cause_checks (Net : sig
+  type t
+
+  val create : ?trace:Trace.t -> ?domains:int -> Graph.t -> t
+
+  val set_write_hook :
+    t -> (round:int -> node:int -> old:int -> int -> Trace.cause -> unit) -> unit
+
+  val run : t -> Scheduler.t -> rounds:int -> unit
+end) =
+struct
+  let run name daemon =
+    let g = Gen.random_connected (Gen.rng 71) 40 in
+    let net = Net.create g in
+    let writes = ref 0 in
+    Net.set_write_hook net (fun ~round:_ ~node ~old _ cause ->
+        incr writes;
+        let expect = List.sort_uniq Int.compare (Mixed_reads.pattern g node old) in
+        Alcotest.(check string)
+          (Fmt.str "%s: node %d cause" name node)
+          (Trace.cause_to_string (Trace.Neighbor_read expect))
+          (Trace.cause_to_string cause));
+    Net.run net daemon ~rounds:8;
+    Alcotest.(check int) (name ^ ": every node wrote six times") (6 * Graph.n g) !writes
+end
+
+let test_read_causes () =
+  let module M = Cause_checks (Network.Make (Mixed_reads)) in
+  let module F = Cause_checks (Network.Flat (Mixed_reads)) in
+  M.run "make sync" Scheduler.Sync;
+  M.run "make async" (Scheduler.Async_random (Random.State.make [| 5 |]));
+  F.run "flat sync" Scheduler.Sync;
+  F.run "flat async" (Scheduler.Async_random (Random.State.make [| 5 |]))
+
 let suite =
   [
     Alcotest.test_case "ring buffer drops oldest" `Quick test_ring_buffer;
@@ -263,4 +336,6 @@ let suite =
     Alcotest.test_case "alarm events fire at detection time" `Quick test_alarm_events_at_detection;
     Alcotest.test_case "rounds-to-quiescence = run_until" `Quick test_rounds_to_quiescence;
     Alcotest.test_case "metrics csv/json rows" `Quick test_metrics_rows;
+    Alcotest.test_case "read causes are the distinct ports read, in any order" `Quick
+      test_read_causes;
   ]
