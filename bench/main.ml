@@ -107,37 +107,11 @@ let table2 () =
 (* F-DT — detection time vs n (Theorem 8.5)                              *)
 (* ==================================================================== *)
 
+(* (node, which part, own-index, level) of every live stored piece, in
+   descending node order: F-DT draws its seeded fault targets by index into
+   this list, so the order fixes which piece a seed corrupts. *)
 let live_piece_targets (m : Marker.t) =
-  (* (node, which part, own-index, level) of every *live* stored piece: one
-     whose fragment actually intersects the part carrying it.  Corrupting a
-     dead-cargo piece (an ancestor of a split part's red seed that misses
-     the part entirely) is semantically null and correctly ignored by the
-     verifier. *)
-  let g = m.Marker.graph in
-  let fragment_of (pc : Pieces.t) =
-    Array.to_list m.Marker.hierarchy.Fragment.frags
-    |> List.find_opt (fun (f : Fragment.t) ->
-           f.Fragment.level = pc.Pieces.level && Graph.id g f.Fragment.root = pc.Pieces.root_id)
-  in
-  let acc = ref [] in
-  Array.iteri
-    (fun v (_ : Marker.node_label) ->
-      let l = m.Marker.labels.(v) in
-      let consider which (pl : Partition.node_part_label) part_ix =
-        let part = m.Marker.assignment.Partition.parts.(part_ix) in
-        Array.iteri
-          (fun k (pc : Pieces.t) ->
-            match fragment_of pc with
-            | Some f
-              when List.exists (fun u -> Fragment.mem f u) part.Partition.members ->
-                acc := (v, which, k, pc.Pieces.level) :: !acc
-            | Some _ | None -> ())
-          pl.Partition.own
-      in
-      consider `Top l.Marker.top m.Marker.assignment.Partition.top_of.(v);
-      consider `Bottom l.Marker.bot m.Marker.assignment.Partition.bot_of.(v))
-    m.Marker.labels;
-  !acc
+  List.rev_map (fun (v, which, k, (pc : Pieces.t)) -> (v, which, k, pc.level)) (Marker.live_pieces m)
 
 let semantic_fault_at rng (m : Marker.t) =
   (* prefer the highest-level live piece: the Ask cycle reaches it last *)
@@ -625,7 +599,8 @@ let fig_campaign () =
 
 (* The observability tentpole's cost contract: running with the full
    observatory attached (online invariant monitors on the engine's round
-   hook plus a sampling span profiler) must stay within 15% of the bare
+   hook plus the clockless phase ledger [msst report] installs, the run
+   charged to it as one engine phase) must stay within 15% of the bare
    engine.  The monitors' change-counter caching carries the quiescent
    workload; the verifier workload is the worst case (every node writes
    every round, so the monitors re-evaluate every round). *)
@@ -654,6 +629,10 @@ let fig_obs () =
     Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%%@." name (1000. *. t_off) (1000. *. t_on)
       (100. *. ov);
     if ov > obs_budget then failures := Fmt.str "%s (%+.1f%%)" name (100. *. ov) :: !failures
+  in
+  let ledgered f =
+    Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.logical ());
+    Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
   in
   (* churning workload: the BFS election re-converges after each periodic
      fault burst (a pure quiescent tail would compare the monitors' O(1)
@@ -687,11 +666,7 @@ let fig_obs () =
       in
       let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
       Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-      let sp =
-        Ssmst_obs.Span.create ~sample:(Ssmst_obs.Span.sampler_of_metrics (Net.metrics net)) ()
-      in
-      Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Settle drive;
-      ignore (Ssmst_obs.Span.finish sp))
+      ledgered (fun () -> Metrics.phase (Net.metrics net) "settle" drive))
     else drive ()
   in
   report "ss-bfs + faults n=256, 1024 rounds" (time (bfs_run false)) (time (bfs_run true));
@@ -724,12 +699,8 @@ let fig_obs () =
       in
       let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
       Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-      let sp =
-        Ssmst_obs.Span.create ~sample:(Ssmst_obs.Span.sampler_of_metrics (Net.metrics net)) ()
-      in
-      Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Settle (fun () ->
-          Net.run net Scheduler.Sync ~rounds:600);
-      ignore (Ssmst_obs.Span.finish sp))
+      ledgered (fun () ->
+          Metrics.phase (Net.metrics net) "settle" (fun () -> Net.run net Scheduler.Sync ~rounds:600)))
     else Net.run net Scheduler.Sync ~rounds:600
   in
   report "verifier n=128, 600 rounds"

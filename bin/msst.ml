@@ -286,8 +286,10 @@ let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_o
 (* ---------------- report ---------------- *)
 
 (* Run any scenario with the full observatory attached and render the
-   combined report (metrics + histograms + span tree + monitor verdicts)
-   as markdown, optionally mirroring the JSON form to a second file. *)
+   combined report (metrics + histograms + phase ledger + monitor
+   verdicts) as markdown, optionally mirroring the JSON form to a second
+   file.  The ledger is clockless, so the output is byte-identical from
+   run to run. *)
 let report scenario family n seed faults async_ epochs trials max_rounds md_out json_out fmt =
   if not (List.mem scenario Observatory.scenario_names) then begin
     Fmt.epr "msst report: unknown scenario %s (known: %a)@." scenario
@@ -314,7 +316,7 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
       max_rounds;
     }
   in
-  let r = Observatory.run ~scenario p in
+  let r = Observatory.run (Ssmst_obs.Telemetry.logical ()) ~scenario p in
   let rendered =
     match fmt with
     | Md -> Ssmst_obs.Report.to_markdown r
@@ -344,11 +346,11 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
 
 (* ---------------- profile ---------------- *)
 
-(* The wall-clock twin of [report]: run the same scenario with a
-   Telemetry profiler installed on the global probe hook, then render the
-   per-phase table (md/csv) or the full report JSON with the telemetry
-   block folded in.  Telemetry is out-of-band, so the scenario's
-   registers, metrics and monitor verdicts are exactly [report]'s. *)
+(* [report] with a clock: run the same scenario with a clocked phase
+   ledger, then render the per-phase table (md/csv) — logical and
+   wall/GC columns side by side — or the full report JSON.  The ledger is
+   out-of-band, so the scenario's registers, metrics and monitor verdicts
+   are exactly [report]'s. *)
 let profile scenario family n seed faults async_ epochs trials max_rounds domains fmt chrome
     fake =
   if not (List.mem scenario Observatory.scenario_names) then begin
@@ -379,11 +381,7 @@ let profile scenario family n seed faults async_ epochs trials max_rounds domain
       domains = d;
     }
   in
-  Ssmst_obs.Telemetry.install tel;
-  let r =
-    Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () -> Observatory.run ~scenario p)
-  in
-  Ssmst_obs.Report.set_telemetry r (Ssmst_obs.Telemetry.to_json tel);
+  let r = Observatory.run tel ~scenario p in
   (match chrome with
   | None -> ()
   | Some path ->
@@ -936,10 +934,10 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Run a scenario with the runtime observatory attached — phase-span profiler, \
-          log-bucketed histograms, online invariant monitors — and render one combined \
-          report as markdown (and optionally JSON).  Exits non-zero if any invariant \
-          monitor reports a violation.")
+         "Run a scenario with the runtime observatory attached — phase ledger (logical \
+          columns), log-bucketed histograms, online invariant monitors — and render one \
+          combined report as markdown (and optionally JSON).  Exits non-zero if any \
+          invariant monitor reports a violation.")
     Term.(
       const report $ scenario_arg $ report_family_arg $ n_arg $ seed_arg $ faults_arg $ async_arg
       $ epochs_arg $ trials_arg $ max_rounds_arg $ report_md_arg $ report_json_arg
@@ -965,9 +963,10 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run a scenario (verify, stabilize, campaign, construct) with the wall-clock + \
-          allocation profiler attached and print the per-phase table — time, %, minor/major \
-          words, calls — plus optionally a Chrome-trace JSON.  Telemetry is strictly \
+         "Run a scenario (verify, stabilize, campaign, construct) with a clocked phase \
+          ledger attached and print the per-phase table — calls, ideal-time rounds, \
+          activations, writes, peak bits beside wall time, %, minor/major words and GC \
+          counts — plus optionally a Chrome-trace JSON.  The ledger is strictly \
           out-of-band: registers, metrics and monitors are byte-identical to an unprofiled \
           run at every -d.")
     Term.(

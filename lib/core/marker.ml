@@ -86,17 +86,14 @@ let of_hierarchy ?(construction_rounds = 0) ?threshold (h : Fragment.hierarchy) 
   let label_bits = Array.fold_left (fun acc l -> max acc (label_bits l)) 0 labels in
   { graph = g; tree; hierarchy = h; assignment = a; labels; construction_rounds; label_bits }
 
-let run ?span ?threshold (g : Graph.t) =
-  let r = Sync_mst.run ?span g in
+let run ?threshold (g : Graph.t) =
+  let r = Sync_mst.run g in
+  (* the Multi_Wave partition construction + train initialization, charged
+     its rounds and the final label high-water *)
+  Ssmst_parallel.Probe.with_ "marker-assembly" @@ fun () ->
   let pr = partition_rounds r.hierarchy in
   let m = of_hierarchy ~construction_rounds:(r.rounds + pr) ?threshold r.hierarchy in
-  (* charge the Multi_Wave partition construction + train initialization and
-     the final label high-water to the observatory *)
-  (match span with
-  | Some sp ->
-      Ssmst_obs.Span.with_ sp (Ssmst_obs.Span.Named "marker-assembly") (fun () ->
-          Ssmst_obs.Span.charge sp ~rounds:pr ~peak_bits:m.label_bits ())
-  | None -> ());
+  Ssmst_parallel.Probe.charge ~rounds:pr ~peak_bits:m.label_bits ();
   m
 
 (* The strongest-adversary pipeline for tests and lower-bound experiments:
@@ -137,3 +134,35 @@ let components (m : t) = Tree.to_components m.tree
 
 (* Hook for Wave_echo-based cost sanity: the marker's cost must stay linear. *)
 let linear_bound (m : t) = m.construction_rounds <= 80 * Graph.n m.graph + 200
+
+(* Every live stored piece: one whose fragment intersects the part
+   carrying it.  A dead-cargo piece (an ancestor of a split part's red seed
+   that misses the part entirely) is semantically null: corrupting it is
+   correctly ignored by the verifier.  Pieces name their fragment by
+   (level, root identity); the first such fragment in the hierarchy is
+   taken. *)
+let live_pieces (m : t) =
+  let g = m.graph in
+  let frags = Hashtbl.create 64 in
+  Array.iter
+    (fun (f : Fragment.t) ->
+      let key = (f.level, Graph.id g f.root) in
+      if not (Hashtbl.mem frags key) then Hashtbl.add frags key f)
+    m.hierarchy.frags;
+  let acc = ref [] in
+  Array.iteri
+    (fun v (l : node_label) ->
+      let consider which (pl : Partition.node_part_label) part_ix =
+        let part = m.assignment.parts.(part_ix) in
+        Array.iteri
+          (fun k (pc : Pieces.t) ->
+            match Hashtbl.find_opt frags (pc.level, pc.root_id) with
+            | Some f when List.exists (Fragment.mem f) part.members ->
+                acc := (v, which, k, pc) :: !acc
+            | Some _ | None -> ())
+          pl.own
+      in
+      consider `Top l.top m.assignment.top_of.(v);
+      consider `Bottom l.bot m.assignment.bot_of.(v))
+    m.labels;
+  List.rev !acc

@@ -40,11 +40,12 @@ val partition_rounds : Fragment.hierarchy -> int
 val of_hierarchy : ?construction_rounds:int -> ?threshold:int -> Fragment.hierarchy -> t
 (** Assemble the labels for a given (already validated) hierarchy. *)
 
-val run : ?span:Ssmst_obs.Span.t -> ?threshold:int -> Graph.t -> t
+val run : ?threshold:int -> Graph.t -> t
 (** The honest marker: SYNC_MST + all labels.  [threshold] overrides the
-    Θ(log n) top/bottom cut-off (the ablation experiment).  [span] receives
-    SYNC_MST's phase spans plus a ["marker-assembly"] span charged the
-    partition-construction rounds. *)
+    Θ(log n) top/bottom cut-off (the ablation experiment).  Reports
+    SYNC_MST's phases and then a ["marker-assembly"] phase, covering the
+    label assembly and charged the partition-construction rounds, through
+    {!Ssmst_parallel.Probe}. *)
 
 val forge : Graph.t -> Tree.t -> t
 (** The strongest adversary for tests and lower-bound experiments: labels an
@@ -57,3 +58,10 @@ val components : t -> Tree.component
 
 val linear_bound : t -> bool
 (** Whether the measured construction time is within the O(n) envelope. *)
+
+val live_pieces : t -> (int * [ `Top | `Bottom ] * int * Pieces.t) list
+(** Every live stored piece as (node, part, index in the part label's
+    [own], piece): one whose fragment intersects the part carrying it —
+    corrupting any other piece is semantically null.  In ascending node
+    order, a node's top part before its bottom part, pieces in [own]
+    order. *)

@@ -4,8 +4,10 @@ open Ssmst_obs
 
 (* Scenario drivers for [msst report]: run one of the repo's standard
    scenarios — construct, verify, stabilize, campaign — with the full
-   observatory attached (span profiler, log-bucketed histograms, online
+   observatory attached (the phase ledger, log-bucketed histograms, online
    invariant monitors) and return one {!Report.t} combining everything.
+   Every phase reports through {!Ssmst_parallel.Probe}; an engine phase is
+   charged its {!Metrics} delta ({!Metrics.phase}).
 
    This is the only module that knows both the protocol stack and the
    observatory; {!Ssmst_obs} itself stays below the protocols so the engine
@@ -61,15 +63,13 @@ let report name p extra =
 
 (* ---------------- construct ---------------- *)
 
-(* The marker pipeline under the span profiler; the monitors run once over
+let construct_marker g = Ssmst_parallel.Probe.with_ "construct" (fun () -> Marker.run g)
+
+(* The marker pipeline as one [construct] phase; the monitors run once over
    the static output (alarms are vacuous — nothing executes afterwards). *)
 let construct p =
   let g = graph_of p in
-  let span = Span.create () in
-  let m =
-    Ssmst_parallel.Probe.with_ "construct.marker" (fun () ->
-        Span.with_ span Span.Construct (fun () -> Marker.run ~span g))
-  in
+  let m = construct_marker g in
   let label_hist = Hist.create () in
   Array.iter (fun l -> Hist.record label_hist (Marker.label_bits l)) m.Marker.labels;
   let depth_hist = Hist.create () in
@@ -96,7 +96,6 @@ let construct p =
   let r = report "construct" p [ ("threshold", string_of_int m.Marker.assignment.Partition.threshold) ] in
   Report.add_hist r "per-node label bits" label_hist;
   Report.add_hist r "node depth in the MST" depth_hist;
-  Report.set_spans r (Span.finish span);
   Report.set_monitors r (Monitor.results mon);
   Report.add_note r
     (Fmt.str "MST weight %d (matches Kruskal: %b); %d fragments, hierarchy height %d"
@@ -111,11 +110,11 @@ let construct p =
 
 (* ---------------- verify ---------------- *)
 
-(* Settle the verifier under the engine sampler, inject a burst, run to
-   detection; the monitors ride the engine's round hook the whole way. *)
+(* Settle the verifier, inject a burst, run to detection, each an engine
+   phase; the monitors ride the engine's round hook the whole way. *)
 let verify p =
   let g = graph_of p in
-  let m = Marker.run g in
+  let m = construct_marker g in
   let mode = if p.async then Verifier.Handshake else Verifier.Passive in
   let daemon = if p.async then Scheduler.Async_random (Gen.rng (p.seed + 1)) else Scheduler.Sync in
   let module C = struct
@@ -126,7 +125,7 @@ let verify p =
   let module Net = Network.Make (P) in
   let tr = Trace.create () in
   let net = Net.create ~domains:p.domains g in
-  let span = Span.create ~trace:tr ~sample:(Span.sampler_of_metrics (Net.metrics net)) () in
+  let phase name f = Metrics.phase (Net.metrics net) name f in
   let view =
     {
       Monitor.graph = g;
@@ -147,7 +146,7 @@ let verify p =
   in
   Net.set_round_hook net (fun () -> Monitor.check mon ~round:(Net.rounds net));
   let settle_budget = 8 * Verifier.window_bound m.Marker.labels.(0) in
-  Span.with_ span Span.Settle (fun () -> Net.run net daemon ~rounds:settle_budget);
+  phase "settle" (fun () -> Net.run net daemon ~rounds:settle_budget);
   let r =
     report "verify" p
       [ ("mode", if p.async then "handshake" else "passive");
@@ -163,13 +162,10 @@ let verify p =
   done;
   if p.faults > 0 then begin
     let fs =
-      Span.with_ span Span.Inject (fun () ->
-          Net.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
+      phase "inject" (fun () -> Net.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
     in
     Monitor.note_injection mon ~round:(Net.rounds net) ~faults:fs;
-    match Span.with_ span Span.Detect (fun () ->
-              Net.detection_time net daemon ~max_rounds:p.max_rounds)
-    with
+    match phase "detect" (fun () -> Net.detection_time net daemon ~max_rounds:p.max_rounds) with
     | Some dt ->
         Hist.record alarm_lat dt;
         Report.add_note r
@@ -188,7 +184,6 @@ let verify p =
   Report.add_hist r "per-node register bits" bits_h;
   Report.add_hist r "per-node convergence round (last write)" conv;
   Report.add_hist r "alarm latency after injection (rounds)" alarm_lat;
-  Report.set_spans r (Span.finish span);
   Report.set_monitors r (Monitor.results mon);
   r
 
@@ -197,10 +192,8 @@ let verify p =
 let stabilize p =
   let g = graph_of p in
   let tr = Trace.create () in
-  let span = Span.create ~trace:tr () in
   let obs =
-    Transformer.observatory ~span ~monitor_trace:tr ~compact_c:p.compact_c
-      ~distance_c:p.distance_c ()
+    Transformer.observatory ~monitor_trace:tr ~compact_c:p.compact_c ~distance_c:p.distance_c ()
   in
   let mode = if p.async then Verifier.Handshake else Verifier.Passive in
   let daemon = if p.async then Scheduler.Async_random (Gen.rng (p.seed + 1)) else Scheduler.Sync in
@@ -214,10 +207,7 @@ let stabilize p =
   let rng = Gen.rng (p.seed + 2) in
   for _ = 1 to p.epochs do
     Transformer.advance t ~rounds:200;
-    if p.faults > 0 then
-      Span.with_ span Span.Inject (fun () ->
-          let fs = Transformer.inject_faults t rng ~count:p.faults in
-          Span.charge span ~writes:(List.length fs) ());
+    if p.faults > 0 then ignore (Transformer.inject_faults t rng ~count:p.faults);
     Transformer.advance t ~rounds:p.max_rounds
   done;
   (* the last detection installed a fresh verification network: settle it so
@@ -241,7 +231,6 @@ let stabilize p =
   Report.add_hist r "per-node register bits" bits_h;
   Report.add_hist r "per-node convergence round (last write)" conv;
   Report.add_hist r "alarm latency after injection (rounds)" alarm_lat;
-  Report.set_spans r (Span.finish span);
   Report.set_monitors r (Transformer.monitor_results t);
   Report.add_note r
     (Fmt.str "%d reconstructions, %d total charged rounds, peak memory %d bits; output is \
@@ -253,13 +242,12 @@ let stabilize p =
 (* ---------------- campaign ---------------- *)
 
 (* A compact sweep on one instance: every named fault model x [trials]
-   injection seeds, one [Campaign_trial] span each; outcomes land in the
+   injection seeds, one [campaign-trial i] phase each; outcomes land in the
    detection-time/-distance histograms. *)
 let campaign p =
   let inst =
     Verifier_campaign.prepare ~domains:p.domains ~family:p.family ~n:p.n ~seed:p.seed ()
   in
-  let span = Span.create () in
   let dt_h = Hist.create () and dd_h = Hist.create () and rounds_h = Hist.create () in
   let detected = ref 0 and total = ref 0 in
   let idx = ref 0 in
@@ -268,7 +256,7 @@ let campaign p =
       for k = 0 to p.trials - 1 do
         incr idx;
         let i = !idx in
-        Span.with_ span (Span.Campaign_trial i) (fun () ->
+        Ssmst_parallel.Probe.with_ (Fmt.str "campaign-trial %d" i) (fun () ->
             let model =
               Campaign.resolve_model model_name ~n:p.n ~root:(Verifier_campaign.root inst)
                 ~count:p.faults
@@ -278,7 +266,7 @@ let campaign p =
                 ~inject_seed:(p.seed + (7919 * i) + k)
                 ~max_rounds:p.max_rounds
             in
-            Span.charge span ~rounds:o.Campaign.rounds_run
+            Ssmst_parallel.Probe.charge ~rounds:o.Campaign.rounds_run
               ~writes:o.Campaign.injections ();
             incr total;
             Hist.record rounds_h o.Campaign.rounds_run;
@@ -303,17 +291,22 @@ let campaign p =
   Report.add_hist r "detection time (rounds)" dt_h;
   Report.add_hist r "detection distance (hops)" dd_h;
   Report.add_hist r "rounds run per trial" rounds_h;
-  Report.set_spans r (Span.finish span);
   Report.add_note r (Fmt.str "%d/%d trials detected" !detected !total);
   Report.add_note r
     (Fmt.str "paper bound shape check: f * ceil(log2 n) = %d (dd_p99 observed: %d)"
        (p.faults * Memory.of_nat p.n) (Hist.p99 dd_h));
   r
 
-let run ~scenario p =
-  match scenario with
-  | "construct" -> construct p
-  | "verify" -> verify p
-  | "stabilize" -> stabilize p
-  | "campaign" -> campaign p
-  | s -> invalid_arg (Fmt.str "Observatory.run: unknown scenario %S" s)
+let run ledger ~scenario p =
+  let drive =
+    match scenario with
+    | "construct" -> construct
+    | "verify" -> verify
+    | "stabilize" -> stabilize
+    | "campaign" -> campaign
+    | s -> invalid_arg (Fmt.str "Observatory.run: unknown scenario %S" s)
+  in
+  Telemetry.install ledger;
+  let r = Fun.protect ~finally:Telemetry.uninstall (fun () -> drive p) in
+  Report.set_phases r ledger;
+  r

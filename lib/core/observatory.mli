@@ -2,9 +2,9 @@ open Ssmst_obs
 
 (** Scenario drivers for [msst report]: run one of the standard scenarios
     — construct, verify, stabilize, campaign — with the full observatory
-    attached (span profiler, log-bucketed histograms, online invariant
+    attached (the phase ledger, log-bucketed histograms, online invariant
     monitors) and return one {!Report.t} combining engine metrics,
-    histograms, the span tree and the monitor verdicts. *)
+    histograms, the phase ledger and the monitor verdicts. *)
 
 type params = {
   family : string;
@@ -27,10 +27,11 @@ val default_params : params
 val scenario_names : string list
 (** ["construct"; "verify"; "stabilize"; "campaign"] *)
 
-val construct : params -> Report.t
-val verify : params -> Report.t
-val stabilize : params -> Report.t
-val campaign : params -> Report.t
-
-val run : scenario:string -> params -> Report.t
-(** Dispatch by name.  @raise Invalid_argument on an unknown scenario. *)
+val run : Telemetry.t -> scenario:string -> params -> Report.t
+(** [run ledger ~scenario p] runs the named scenario with [ledger]
+    installed on the probe hook, then uninstalls it and sets it as the
+    report's phases.  The scenario's phases: [construct] (SYNC_MST's
+    fragment levels and the marker assembly) in every scenario,
+    [settle]/[inject]/[detect] in verify, [epoch k] in stabilize and
+    [campaign-trial i] in campaign.
+    @raise Invalid_argument on an unknown scenario. *)

@@ -41,17 +41,13 @@ let state_bits g s =
   + Ssmst_sim.Memory.of_int (Graph.max_degree g)  (* candidate-child pointer *)
   + 4 (* stage flags: counting / searching / wave / echoed *)
 
-let run ?span (g : Graph.t) =
-  (* observatory attribution: one [Fragment_level] span per phase with
-     [Wave_sweep] sub-spans for Count_Size and Find_Min_Out_Edge, charged
-     the rounds the timetable allocates and the nodes the waves visit *)
-  let span_open tag = match span with Some sp -> Ssmst_obs.Span.open_ sp tag | None -> () in
-  let span_close () = match span with Some sp -> Ssmst_obs.Span.close sp | None -> () in
-  let span_charge ?rounds ?activations ?peak_bits () =
-    match span with
-    | Some sp -> Ssmst_obs.Span.charge sp ?rounds ?activations ?peak_bits ()
-    | None -> ()
-  in
+module Probe = Ssmst_parallel.Probe
+
+let run (g : Graph.t) =
+  (* phase attribution: one [fragment-level i] phase per phase with a
+     [wave-sweep] sub-phase for each of Count_Size and Find_Min_Out_Edge,
+     charged the rounds the timetable allocates and the nodes the waves
+     visit *)
   let n = Graph.n g in
   let w = Graph.plain_weight_fn g in
   let states = Array.init n (fun v -> { parent = -1; root_id = Graph.id g v; level = 0 }) in
@@ -84,66 +80,67 @@ let run ?span (g : Graph.t) =
     for v = n - 1 downto 0 do
       if states.(v).parent < 0 then roots := v :: !roots
     done;
-    span_open (Ssmst_obs.Span.Fragment_level i);
+    Probe.with_ ("fragment-level " ^ string_of_int i) @@ fun () ->
     (* --- Count_Size at round 11*2^i --- *)
-    span_open Ssmst_obs.Span.Wave_sweep;
-    let wave_work = ref 0 in
     let active = ref [] in
-    List.iter
-      (fun r ->
-        let cnt = Wave_echo.count ~children:children_of ~ttl r in
-        wave_work := !wave_work + List.length cnt.visited;
-        if (not cnt.truncated) && cnt.value <= ttl then begin
-          (* active: refresh ID estimates and level through the wave *)
-          List.iter
-            (fun v ->
-              states.(v).root_id <- Graph.id g r;
-              states.(v).level <- i)
-            cnt.visited;
-          active := (r, cnt.visited) :: !active
-        end
-        else states.(r).level <- i + 1;
-        (* spanning detection at the echo: complete count covering all *)
-        if (not cnt.truncated) && cnt.value = n then begin
-          done_ := true;
-          final_round := ((11 + 4) * (1 lsl i));
-          records := (i, r, cnt.visited, None) :: !records
-        end)
-      !roots;
-    span_charge ~rounds:(4 * (1 lsl i)) ~activations:!wave_work ();
-    span_close ();
+    Probe.with_ "wave-sweep" (fun () ->
+      let wave_work = ref 0 in
+      List.iter
+        (fun r ->
+          let cnt = Wave_echo.count ~children:children_of ~ttl r in
+          wave_work := !wave_work + List.length cnt.visited;
+          if (not cnt.truncated) && cnt.value <= ttl then begin
+            (* active: refresh ID estimates and level through the wave *)
+            List.iter
+              (fun v ->
+                states.(v).root_id <- Graph.id g r;
+                states.(v).level <- i)
+              cnt.visited;
+            active := (r, cnt.visited) :: !active
+          end
+          else states.(r).level <- i + 1;
+          (* spanning detection at the echo: complete count covering all *)
+          if (not cnt.truncated) && cnt.value = n then begin
+            done_ := true;
+            final_round := ((11 + 4) * (1 lsl i));
+            records := (i, r, cnt.visited, None) :: !records
+          end)
+        !roots;
+      Probe.charge ~rounds:(4 * (1 lsl i)) ~activations:!wave_work ());
+    (* the running peak, so that the last phase (which skips the merge
+       below) carries it too *)
+    Probe.charge ~peak_bits:!peak_bits ();
     if not !done_ then begin
       (* --- Find_Min_Out_Edge at round (11+4)*2^i --- *)
-      span_open Ssmst_obs.Span.Wave_sweep;
-      let search_work = ref 0 in
       let plans = ref [] in
-      List.iter
-        (fun (r, members) ->
-          let candidate v =
-            let best = ref None in
-            Graph.iter_ports g v (fun _ u ->
-                if root_of u <> r then
-                  let cand = w v u in
-                  match !best with
-                  | Some (_, _, bw) when Weight.(bw <= cand) -> ()
-                  | _ -> best := Some (v, u, cand));
-            !best
-          in
-          let cmp (_, _, a) (_, _, b) = Weight.compare a b in
-          let search = Wave_echo.minimum ~children:children_of ~candidate ~compare:cmp r in
-          search_work := !search_work + List.length search.visited;
-          match search.value with
-          | None ->
-              (* no outgoing edge: the fragment spans the graph; it will be
-                 recorded by the count of a later phase — cannot happen for
-                 an active fragment that passed the spanning test above *)
-              ()
-          | Some (wv, x, _) ->
-              records := (i, r, members, Some (wv, x)) :: !records;
-              plans := (r, wv, x) :: !plans)
-        !active;
-      span_charge ~rounds:(4 * (1 lsl i)) ~activations:!search_work ();
-      span_close ();
+      Probe.with_ "wave-sweep" (fun () ->
+        let search_work = ref 0 in
+        List.iter
+          (fun (r, members) ->
+            let candidate v =
+              let best = ref None in
+              Graph.iter_ports g v (fun _ u ->
+                  if root_of u <> r then
+                    let cand = w v u in
+                    match !best with
+                    | Some (_, _, bw) when Weight.(bw <= cand) -> ()
+                    | _ -> best := Some (v, u, cand));
+              !best
+            in
+            let cmp (_, _, a) (_, _, b) = Weight.compare a b in
+            let search = Wave_echo.minimum ~children:children_of ~candidate ~compare:cmp r in
+            search_work := !search_work + List.length search.visited;
+            match search.value with
+            | None ->
+                (* no outgoing edge: the fragment spans the graph; it will be
+                   recorded by the count of a later phase — cannot happen for
+                   an active fragment that passed the spanning test above *)
+                ()
+            | Some (wv, x, _) ->
+                records := (i, r, members, Some (wv, x)) :: !records;
+                plans := (r, wv, x) :: !plans)
+          !active;
+        Probe.charge ~rounds:(4 * (1 lsl i)) ~activations:!search_work ());
       (* --- merging at round (11+8)*2^i: re-root at w, then hook --- *)
       let is_planned_pivot x wv =
         (* does x's fragment plan the same edge from the other side? *)
@@ -170,18 +167,17 @@ let run ?span (g : Graph.t) =
         !plans;
       List.iter (fun (wv, x) -> states.(wv).parent <- x) !hooks;
       note_memory ();
-      span_charge ~rounds:(3 * (1 lsl i)) ~peak_bits:!peak_bits ();
+      Probe.charge ~rounds:(3 * (1 lsl i)) ~peak_bits:!peak_bits ();
       final_round := 11 * (1 lsl (i + 1));
       incr phase;
       if !phase > 2 * Ssmst_sim.Memory.of_nat n + 4 then
         raise (Graph.Malformed "SYNC_MST: did not converge")
-    end;
-    span_close () (* the phase's Fragment_level span *)
+    end
   done;
   note_memory ();
   (* the timetable starts phase 0 at round 11; the per-phase charges sum to
      [final_round - 11], so settle the warm-up here *)
-  span_charge ~rounds:11 ~peak_bits:!peak_bits ();
+  Probe.charge ~rounds:11 ~peak_bits:!peak_bits ();
   let parent = Array.map (fun s -> s.parent) states in
   let tree = Tree.of_parents g parent in
   let records =

@@ -18,8 +18,10 @@ type result = {
   peak_bits : int;  (** max per-node state size (Observation 4.3) *)
 }
 
-val run : ?span:Ssmst_obs.Span.t -> Graph.t -> result
-(** [span] receives one [Fragment_level] span per phase with [Wave_sweep]
-    sub-spans for Count_Size and Find_Min_Out_Edge, charged per the
-    timetable; the per-phase round charges sum to [result.rounds].
+val run : Graph.t -> result
+(** Reports through {!Ssmst_parallel.Probe}: one ["fragment-level i"]
+    phase per phase, with a ["wave-sweep"] sub-phase for each of
+    Count_Size and Find_Min_Out_Edge, charged per the timetable and
+    carrying the running peak bits; the round charges, plus the 11-round
+    warm-up charged after the last phase, sum to [result.rounds].
     @raise Graph.Malformed on disconnected inputs. *)

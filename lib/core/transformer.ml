@@ -22,14 +22,14 @@ open Ssmst_sim
    O(Δ log³ n) asynchronous ones — at distance O(f log n) from the faults,
    and repaired by one reconstruction.
 
-   The observatory rides along when a {!observatory} config is supplied:
-   each construct-verify-repair cycle becomes an [Epoch] span (with
-   SYNC_MST's fragment-level spans nested under its [Construct] phase and
-   a [Detect] span covering each injection-to-alarm window), and the live
-   verification network carries the online invariant monitors through the
-   engine's round hook.  Monitor verdicts latch across epochs: a violation
-   in any epoch survives the reconstruction that discards the network it
-   was observed on. *)
+   Every construct-verify-repair cycle reports through
+   {!Ssmst_parallel.Probe} as an [epoch k] phase, with SYNC_MST's
+   fragment levels nested under its [construct] phase and an [inject] and
+   a [detect] phase for each injection and injection-to-alarm window.
+   When a {!observatory} config is supplied, the live verification network
+   carries the online invariant monitors through the engine's round hook.
+   Monitor verdicts latch across epochs: a violation in any epoch survives
+   the reconstruction that discards the network it was observed on. *)
 
 type event =
   | Constructed of int  (* rounds charged for election + SYNC_MST + marker *)
@@ -47,20 +47,19 @@ type probe = {
 }
 
 type observatory = {
-  span : Ssmst_obs.Span.t option;
   monitor_trace : Trace.t option;  (* violations land here *)
   monitors : bool;
   compact_c : int;
   distance_c : int;
 }
 
-let observatory ?span ?monitor_trace ?(monitors = true)
+let observatory ?monitor_trace ?(monitors = true)
     ?(compact_c = Ssmst_obs.Monitor.default_compact_c)
     ?(distance_c = Ssmst_obs.Monitor.default_distance_c) () =
-  { span; monitor_trace; monitors; compact_c; distance_c }
+  { monitor_trace; monitors; compact_c; distance_c }
 
 let no_observatory =
-  { span = None; monitor_trace = None; monitors = false; compact_c = 0; distance_c = 0 }
+  { monitor_trace = None; monitors = false; compact_c = 0; distance_c = 0 }
 
 type t = {
   graph : Graph.t;
@@ -86,29 +85,24 @@ type t = {
 let construction_cost (g : Graph.t) (m : Marker.t) =
   (4 * Graph.n g) + m.construction_rounds
 
-(* ---------------- observatory plumbing ---------------- *)
+(* ---------------- phases ---------------- *)
 
-let span_charge (t : t) ?rounds ?peak_bits () =
-  match t.obs.span with
-  | Some sp -> Ssmst_obs.Span.charge sp ?rounds ?peak_bits ()
-  | None -> ()
+module Probe = Ssmst_parallel.Probe
 
-(* One construction, under a [Construct] span when profiled: SYNC_MST and
-   the marker charge their own timetable rounds; the election's O(n) and
-   the label high-water are settled here. *)
-let construct_marker_with span (g : Graph.t) =
-  (* the wall-clock twin of the [Construct] span: charged whether or not
-     the logical observatory is attached *)
-  Ssmst_parallel.Probe.with_ "transformer.construct" @@ fun () ->
-  match span with
-  | None -> Marker.run g
-  | Some sp ->
-      Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Construct (fun () ->
-          let m = Marker.run ~span:sp g in
-          Ssmst_obs.Span.charge sp ~rounds:(4 * Graph.n g) ~peak_bits:m.Marker.label_bits ();
-          m)
+(* Everything done between two reconstructions — the construction, the
+   quiet verification rounds, injections, the detection and its reset
+   wave — runs in the phase [epoch k], k the number of constructions
+   before it; each call re-enters the same phase. *)
+let in_epoch k f = Probe.with_ (Fmt.str "epoch %d" k) f
 
-let construct_marker (t : t) = construct_marker_with t.obs.span t.graph
+(* One construction as a [construct] phase: SYNC_MST and the marker charge
+   their own timetable rounds; the election's O(n) and the label
+   high-water are charged here. *)
+let construct_marker (g : Graph.t) =
+  Probe.with_ "construct" @@ fun () ->
+  let m = Marker.run g in
+  Probe.charge ~rounds:(4 * Graph.n g) ~peak_bits:m.Marker.label_bits ();
+  m
 
 (* Latch [fresh] monitor verdicts over the accumulated ones: the first
    violation per monitor wins, across epochs. *)
@@ -194,10 +188,7 @@ let install (t : t) =
    act is a reconstruction. *)
 let create ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ?(domains = 1)
     ?(obs = no_observatory) g =
-  (match obs.span with
-  | Some sp -> Ssmst_obs.Span.open_ sp (Ssmst_obs.Span.Epoch 0)
-  | None -> ());
-  let marker = construct_marker_with obs.span g in
+  let marker = in_epoch 0 (fun () -> construct_marker g) in
   let t =
     {
       graph = g;
@@ -226,19 +217,11 @@ let create ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ?(domains = 1)
   t
 
 let reconstruct (t : t) =
-  (* one [transformer.epoch] telemetry frame per construct-verify-repair
-     cycle, the wall-clock twin of the [Epoch] span below *)
-  Ssmst_parallel.Probe.with_ "transformer.epoch" @@ fun () ->
+  in_epoch t.reconstructions @@ fun () ->
   (match t.monitor with
   | Some mon -> Ssmst_obs.Monitor.note_reset mon ~round:t.total_rounds
   | None -> ());
-  (* one construct-verify-repair cycle per [Epoch] span *)
-  (match t.obs.span with
-  | Some sp ->
-      Ssmst_obs.Span.close sp;
-      Ssmst_obs.Span.open_ sp (Ssmst_obs.Span.Epoch t.reconstructions)
-  | None -> ());
-  t.marker <- construct_marker t;
+  t.marker <- construct_marker t.graph;
   let cost = construction_cost t.graph t.marker in
   t.total_rounds <- t.total_rounds + cost;
   t.reconstructions <- t.reconstructions + 1;
@@ -247,26 +230,31 @@ let reconstruct (t : t) =
 
 (* Run the verification regime for [rounds]; on detection, reconstruct. *)
 let advance (t : t) ~rounds =
-  Ssmst_parallel.Probe.with_ "transformer.advance" @@ fun () ->
-  match t.run_verify rounds with
-  | `Quiet ->
-      t.total_rounds <- t.total_rounds + rounds;
-      span_charge t ~rounds ();
-      t.history <- Quiescent rounds :: t.history
-  | `Alarm (dt, dist) ->
-      (match t.obs.span with
-      | Some sp ->
-          Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Detect (fun () ->
-              Ssmst_obs.Span.charge sp ~rounds:dt ())
-      | None -> ());
-      span_charge t ~rounds:(2 * Graph.n t.graph) ();  (* the reset wave *)
-      t.total_rounds <- t.total_rounds + dt + (2 * Graph.n t.graph);
-      t.history <- Detected { rounds = dt; distance = dist } :: t.history;
-      reconstruct t
+  let alarmed =
+    in_epoch (t.reconstructions - 1) @@ fun () ->
+    match t.run_verify rounds with
+    | `Quiet ->
+        t.total_rounds <- t.total_rounds + rounds;
+        Probe.charge ~rounds ();
+        t.history <- Quiescent rounds :: t.history;
+        false
+    | `Alarm (dt, dist) ->
+        Probe.with_ "detect" (fun () -> Probe.charge ~rounds:dt ());
+        Probe.charge ~rounds:(2 * Graph.n t.graph) ();  (* the reset wave *)
+        t.total_rounds <- t.total_rounds + dt + (2 * Graph.n t.graph);
+        t.history <- Detected { rounds = dt; distance = dist } :: t.history;
+        true
+  in
+  if alarmed then reconstruct t
 
 (* Apply a typed fault model to the running verification network: the
    epoch re-injection path shares the campaign subsystem's models. *)
-let inject_model (t : t) st model = t.inject st model
+let inject_model (t : t) st model =
+  in_epoch (t.reconstructions - 1) @@ fun () ->
+  Probe.with_ "inject" @@ fun () ->
+  let faults = t.inject st model in
+  Probe.charge ~writes:(List.length faults) ();
+  faults
 
 (* Inject [count] uniformly placed faults (the historical model). *)
 let inject_faults (t : t) st ~count = inject_model t st (Fault.uniform ~count)

@@ -25,14 +25,14 @@ type probe = {
   net_rounds : unit -> int;
 }
 
-(** The observatory ride-along: an optional span profiler (each
-    construct-verify-repair cycle becomes an [Epoch] span, with SYNC_MST's
-    fragment-level spans under its [Construct] phase and a [Detect] span
-    per injection-to-alarm window) and the online invariant monitors
-    attached to the live verification network through the engine's round
-    hook. *)
+(** The observatory ride-along: the online invariant monitors attached
+    to the live verification network through the engine's round hook.
+    (Phases need no config: each construct-verify-repair cycle reports
+    through {!Ssmst_parallel.Probe} as an ["epoch k"] phase, with
+    SYNC_MST's fragment levels under its ["construct"] phase and an
+    ["inject"] and a ["detect"] phase per injection and
+    injection-to-alarm window.) *)
 type observatory = {
-  span : Ssmst_obs.Span.t option;
   monitor_trace : Trace.t option;  (** violations land here *)
   monitors : bool;
   compact_c : int;
@@ -40,7 +40,6 @@ type observatory = {
 }
 
 val observatory :
-  ?span:Ssmst_obs.Span.t ->
   ?monitor_trace:Trace.t ->
   ?monitors:bool ->
   ?compact_c:int ->
@@ -99,7 +98,8 @@ val advance : t -> rounds:int -> unit
 
 val inject_model : t -> Random.State.t -> Fault.t -> int list
 (** Apply a typed fault model to the running verification network (the
-    epoch re-injection path of the campaign subsystem). *)
+    epoch re-injection path of the campaign subsystem), as an ["inject"]
+    phase charged one write per corrupted node. *)
 
 val inject_faults : t -> Random.State.t -> count:int -> int list
 (** Corrupt [count] uniformly placed nodes: [inject_model] under

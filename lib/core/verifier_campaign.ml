@@ -38,7 +38,7 @@ let root t = Tree.root t.marker.Marker.tree
 
 let prepare ?(domains = 1) ~family ~n ~seed () =
   let g = graph_of_family family (Gen.rng seed) n in
-  let m = Marker.run g in
+  let m = Ssmst_parallel.Probe.with_ "construct" (fun () -> Marker.run g) in
   let module C = struct
     let marker = m
     let mode = Verifier.Passive
@@ -46,13 +46,11 @@ let prepare ?(domains = 1) ~family ~n ~seed () =
   let module P = Verifier.Make (C) in
   let module Net = Network.Make (P) in
   let net = Net.create ~domains g in
-  Net.run net Scheduler.Sync ~rounds:(8 * Verifier.window_bound m.Marker.labels.(0));
+  Metrics.phase (Net.metrics net) "settle" (fun () ->
+      Net.run net Scheduler.Sync ~rounds:(8 * Verifier.window_bound m.Marker.labels.(0)));
   { graph = g; marker = m; settled = Array.copy (Net.states net) }
 
 let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
-  (* one [campaign.trial] telemetry frame per trial, so [msst profile
-     campaign] can apportion wall time between settling and the trials *)
-  Ssmst_parallel.Probe.with_ "campaign.trial" @@ fun () ->
   let module C = struct
     let marker = t.marker
     let mode = Verifier.Passive

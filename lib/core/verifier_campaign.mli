@@ -24,8 +24,10 @@ type instance
     per (f, model) grid point. *)
 
 val prepare : ?domains:int -> family:string -> n:int -> seed:int -> unit -> instance
-(** [domains] (default 1) fans the settling run's sync rounds across
-    worker domains; the settled snapshot is byte-identical either way. *)
+(** Builds the instance's marker as a ["construct"] phase and settles the
+    verifier as a ["settle"] phase ({!Ssmst_parallel.Probe}).  [domains]
+    (default 1) fans the settling run's sync rounds across worker
+    domains; the settled snapshot is byte-identical either way. *)
 
 val graph : instance -> Graph.t
 val root : instance -> int
@@ -41,9 +43,7 @@ val run_trial :
 (** One trial on a fresh network rewound to the instance snapshot via the
     engine's metrics/trace-neutral [restore] (so [register_writes] counts
     protocol work only — 0 until the injection); deterministic in the
-    instance and [inject_seed] at every [domains].  Each trial runs under
-    a ["campaign.trial"] telemetry frame when a {!Ssmst_parallel.Probe}
-    sink is installed. *)
+    instance and [inject_seed] at every [domains]. *)
 
 val sweep :
   ?jobs:int ->

@@ -1,8 +1,8 @@
 open Ssmst_sim
 
 (* The rendering layer of the observatory: one value combining everything a
-   run produced — engine metrics, log-bucketed histograms, the span tree,
-   monitor verdicts, free-form notes — rendered once as markdown (for
+   run produced — engine metrics, log-bucketed histograms, the phase
+   ledger, monitor verdicts, free-form notes — rendered once as markdown (for
    humans and CI artifacts) and once as JSON (for downstream tooling).
 
    Purely presentational: this module never runs anything, so it can live
@@ -14,10 +14,9 @@ type t = {
   scenario : (string * string) list;  (* key/value header lines, in order *)
   mutable metrics : (string * Metrics.t) list;  (* one row per network, newest last *)
   mutable hists : (string * Hist.t) list;
-  mutable spans : Span.node option;
+  mutable phases : Telemetry.t option;
   mutable monitors : (string * Monitor.verdict) list;
   mutable notes : string list;  (* newest last *)
-  mutable telemetry : string option;  (* Telemetry.to_json block, pre-rendered *)
 }
 
 let create ~title ~scenario () =
@@ -26,18 +25,16 @@ let create ~title ~scenario () =
     scenario;
     metrics = [];
     hists = [];
-    spans = None;
+    phases = None;
     monitors = [];
     notes = [];
-    telemetry = None;
   }
 
 let add_metrics t label m = t.metrics <- t.metrics @ [ (label, m) ]
 let add_hist t label h = t.hists <- t.hists @ [ (label, h) ]
-let set_spans t root = t.spans <- Some root
+let set_phases t ledger = t.phases <- Some ledger
 let set_monitors t results = t.monitors <- results
 let add_note t s = t.notes <- t.notes @ [ s ]
-let set_telemetry t json = t.telemetry <- Some json
 
 let all_monitors_ok t =
   List.for_all (fun (_, v) -> Monitor.verdict_ok v) t.monitors
@@ -67,12 +64,6 @@ let hist_table ppf hists =
         (Hist.count h) (Hist.min_value h) (Hist.p50 h) (Hist.p90 h) (Hist.p99 h)
         (Hist.max_value h) (Hist.mean h))
     hists
-
-let span_tree ppf root =
-  List.iter
-    (fun (depth, n) ->
-      Fmt.pf ppf "%s- %a@." (String.make (2 * depth) ' ') Span.pp_node n)
-    (Span.depth_first root)
 
 let monitor_table ppf monitors =
   Fmt.pf ppf "| monitor | verdict |@.";
@@ -113,15 +104,14 @@ let to_markdown t =
                      (List.map (fun (ub, c) -> Fmt.str "&le;%d:%d" ub c) cells)))
           t.hists
       end;
-      (match t.spans with
+      (match t.phases with
       | None -> ()
-      | Some root ->
-          Fmt.pf ppf "## Span tree@.@.";
+      | Some ledger ->
+          Fmt.pf ppf "## Phases@.@.";
           Fmt.pf ppf
-            "Counts are inclusive: a span covers its children.  Indentation is nesting.@.@.";
-          Fmt.pf ppf "```@.";
-          span_tree ppf root;
-          Fmt.pf ppf "```@.@.");
+            "Counts are inclusive: a phase covers its children, one `· ` per level of \
+             nesting; a repeated phase under one parent is one row, its calls counted.@.@.";
+          Fmt.pf ppf "%s@." (Telemetry.to_markdown ledger));
       if t.notes <> [] then begin
         Fmt.pf ppf "## Notes@.@.";
         List.iter (fun s -> Fmt.pf ppf "- %s@." s) t.notes;
@@ -131,8 +121,8 @@ let to_markdown t =
 (* ---------------- CSV ---------------- *)
 
 (* the flat form: one (section, key, value) row per fact, for spreadsheet
-   ingestion; histograms flatten to their summary statistics and the span
-   tree to depth-first rows *)
+   ingestion; histograms flatten to their summary statistics and the phase
+   ledger to one row per phase, keyed by its path *)
 let to_csv t =
   let buf = Buffer.create 1024 in
   let esc = Trace.csv_escape in
@@ -166,12 +156,17 @@ let to_csv t =
           ("max", string_of_int (Hist.max_value h));
           ("mean", Fmt.str "%.2f" (Hist.mean h)) ])
     t.hists;
-  (match t.spans with
+  (match t.phases with
   | None -> ()
-  | Some root ->
-      List.iter
-        (fun (depth, n) -> row "span" (string_of_int depth) (Fmt.str "%a" Span.pp_node n))
-        (Span.depth_first root));
+  | Some ledger ->
+      let rec phase_rows path (p : Telemetry.phase) =
+        let path = if path = "" then p.name else path ^ "/" ^ p.name in
+        row "phase" path
+          (Fmt.str "calls %d, rounds %d, activations %d, writes %d, peak %d bits" p.calls
+             p.rounds p.activations p.writes p.peak_bits);
+        List.iter (phase_rows path) (Telemetry.children p)
+      in
+      phase_rows "" (Telemetry.root ledger));
   List.iteri (fun i s -> row "note" (string_of_int i) s) t.notes;
   Buffer.contents buf
 
@@ -198,8 +193,7 @@ let to_json t =
   in
   let notes = String.concat "," (List.map str t.notes) in
   Fmt.str
-    {|{"title":%s,"scenario":{%s},"monitors":{%s},"monitors_ok":%b,"metrics":[%s],"histograms":[%s],"spans":%s,"notes":[%s],"telemetry":%s}|}
+    {|{"title":%s,"scenario":{%s},"monitors":{%s},"monitors_ok":%b,"metrics":[%s],"histograms":[%s],"phases":%s,"notes":[%s]}|}
     (str t.title) scenario monitors (all_monitors_ok t) metrics hists
-    (match t.spans with None -> "null" | Some root -> Span.node_to_json root)
+    (match t.phases with None -> "null" | Some ledger -> Telemetry.to_json ledger)
     notes
-    (match t.telemetry with None -> "null" | Some j -> j)

@@ -1,8 +1,8 @@
 open Ssmst_sim
 
 (** The rendering layer of the observatory: one value combining everything
-    a run produced — engine metrics, log-bucketed histograms, the span
-    tree, monitor verdicts, free-form notes — rendered once as markdown
+    a run produced — engine metrics, log-bucketed histograms, the phase
+    ledger, monitor verdicts, free-form notes — rendered once as markdown
     (for humans and CI artifacts) and once as JSON (for tooling).
 
     Purely presentational: nothing here runs a scenario; the drivers that
@@ -17,15 +17,14 @@ val add_metrics : t -> string -> Metrics.t -> unit
 (** One row per network, labelled; rows render in insertion order. *)
 
 val add_hist : t -> string -> Hist.t -> unit
-val set_spans : t -> Span.node -> unit
+val set_phases : t -> Telemetry.t -> unit
+(** The run's phase ledger, rendered when the report is: a table in the
+    markdown (logical columns only for a {!Telemetry.logical} ledger),
+    one row per phase in the CSV, the {!Telemetry.to_json} block under
+    ["phases"] in the JSON ([null] when absent). *)
+
 val set_monitors : t -> (string * Monitor.verdict) list -> unit
 val add_note : t -> string -> unit
-
-val set_telemetry : t -> string -> unit
-(** Attach a pre-rendered {!Telemetry.to_json} block; it appears verbatim
-    under the ["telemetry"] key of {!to_json} ([null] when absent) and is
-    deliberately absent from the markdown/CSV renderings — wall-clock
-    telemetry is machine food, the human table is [msst profile]'s. *)
 
 val all_monitors_ok : t -> bool
 (** True when no monitor verdict is a violation (vacuously on none). *)
@@ -35,4 +34,5 @@ val to_json : t -> string
 
 val to_csv : t -> string
 (** Flat [section,key,value] rows: metrics and histograms one statistic
-    per row, the span tree depth-first.  For spreadsheet ingestion. *)
+    per row, the phase ledger one row per phase path (logical columns).
+    For spreadsheet ingestion. *)

@@ -1,4 +1,4 @@
-(* The global telemetry hook (see the interface).  One word of state: the
+(* The global phase hook (see the interface).  One word of state: the
    currently installed sink, or nothing.  The disabled path — a ref read
    and a match — is what keeps always-compiled probes affordable in the
    engines' round loops. *)
@@ -8,6 +8,7 @@ type sink = {
   enter : string -> unit;
   leave : string -> unit;
   span : tid:int -> string -> float -> float -> unit;
+  charge : rounds:int -> activations:int -> writes:int -> peak_bits:int -> unit;
 }
 
 let null =
@@ -16,6 +17,7 @@ let null =
     enter = (fun _ -> ());
     leave = (fun _ -> ());
     span = (fun ~tid:_ _ _ _ -> ());
+    charge = (fun ~rounds:_ ~activations:_ ~writes:_ ~peak_bits:_ -> ());
   }
 
 let current : sink option ref = ref None
@@ -38,3 +40,6 @@ let with_ name f =
       | exception e ->
           s.leave name;
           raise e)
+
+let charge ?(rounds = 0) ?(activations = 0) ?(writes = 0) ?(peak_bits = 0) () =
+  match !current with None -> () | Some s -> s.charge ~rounds ~activations ~writes ~peak_bits

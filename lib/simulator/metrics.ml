@@ -55,6 +55,17 @@ let reset t =
    from 1). *)
 let rounds_to_quiescence t = t.last_write_round
 
+(* An engine run as a logical phase: the counters' delta over [f] is the
+   phase's ideal-time cost. *)
+let phase t name f =
+  Ssmst_parallel.Probe.with_ name (fun () ->
+      let rounds = t.rounds and activations = t.activations and writes = t.register_writes in
+      let v = f () in
+      Ssmst_parallel.Probe.charge ~rounds:(t.rounds - rounds)
+        ~activations:(t.activations - activations) ~writes:(t.register_writes - writes)
+        ~peak_bits:t.peak_bits ();
+      v)
+
 let csv_header =
   "rounds,activations,register_writes,wasted_steps,skipped_activations,"
   ^ "rounds_to_quiescence,faults_injected,alarms_raised,alarms_cleared,peak_bits,"

@@ -26,6 +26,13 @@ val reset : t -> unit
 val rounds_to_quiescence : t -> int
 (** The last round during which some register changed. *)
 
+val phase : t -> string -> (unit -> 'a) -> 'a
+(** [phase m name f] runs [f] as the probe phase [name]
+    ({!Ssmst_parallel.Probe.with_}) and, before leaving it, charges the
+    phase the rounds, activations and register writes [m] counted during
+    [f], and [m]'s peak bits.  A charge reaches every open phase, so two
+    such windows over the same counters must not nest. *)
+
 val csv_header : string
 val to_csv_row : t -> string
 

@@ -285,7 +285,7 @@ module Engine (P : Protocol.S) (S : STORE with type state = P.state) = struct
     metrics : Metrics.t;
     mutable trace : Trace.t option;
     (* called after every completed round (observability probes: online
-       invariant monitors, span round attribution).  Must not mutate
+       invariant monitors).  Must not mutate
        states. *)
     mutable round_hook : (unit -> unit) option;
     (* called on every register write with the old and new state and the

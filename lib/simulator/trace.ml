@@ -5,7 +5,7 @@
    arbitrarily long run costs O(capacity) memory.  The engine records an
    event per activation, register write, alarm transition, fault injection
    and convergence check; the observability layer (Ssmst_obs) additionally
-   records span open/close marks and online-monitor verdicts, which makes
+   records online-monitor verdicts, which makes
    the paper's round/bit/distance claims observable per run instead of only
    as aggregates. *)
 
@@ -36,7 +36,7 @@ type event =
   | Convergence of { round : int; reached : bool }
       (* emitted by [run_until] when it stops *)
   | Span_mark of { round : int; label : string; enter : bool }
-      (* a phase span opened ([enter]) or closed at [round] *)
+      (* a phase opened ([enter]) or closed at [round]; no producer today *)
   | Invariant_violation of { round : int; node : int option; monitor : string; detail : string }
       (* an online monitor found the snapshot of [round] in violation *)
 

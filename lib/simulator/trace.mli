@@ -3,8 +3,7 @@
     Attach a trace to a {!Network.Make} or {!Network.Flat} instance and
     every activation, register write, alarm transition, fault injection and
     convergence check is recorded as a typed event; the observability layer
-    ([Ssmst_obs]) additionally records phase-span marks and online-monitor
-    verdicts.  The buffer is bounded: once [capacity] events are held, the
+    ([Ssmst_obs]) additionally records online-monitor verdicts.  The buffer is bounded: once [capacity] events are held, the
     oldest are dropped (and counted in {!dropped}), so tracing an
     arbitrarily long run costs O(capacity) memory. *)
 
@@ -32,7 +31,9 @@ type event =
       (** [fault] is the injection id that write causes refer to *)
   | Convergence of { round : int; reached : bool }
   | Span_mark of { round : int; label : string; enter : bool }
-      (** a phase span opened ([enter = true]) or closed at [round] *)
+      (** a phase opened ([enter = true]) or closed at [round]; nothing
+          records it today (the phase ledger keeps no trace), but the
+          JSONL/CSV formats still carry it *)
   | Invariant_violation of { round : int; node : int option; monitor : string; detail : string }
       (** an online monitor found the settled snapshot of [round] in
           violation; [node] pinpoints the first offending node when one

@@ -37,32 +37,11 @@ let drive seed n mutate =
       | None -> `Missed
   end
 
-(* a live stored piece at node v, if any: one whose fragment intersects the
-   part carrying it *)
+(* a live stored piece at node v, if any *)
 let live_piece (m : Marker.t) v =
-  let g = m.graph in
-  let l = m.labels.(v) in
-  let fragment_of (pc : Pieces.t) =
-    Array.to_list m.hierarchy.Fragment.frags
-    |> List.find_opt (fun (f : Fragment.t) ->
-           f.Fragment.level = pc.Pieces.level && Graph.id g f.Fragment.root = pc.Pieces.root_id)
-  in
-  let try_part which (pl : Partition.node_part_label) part_ix =
-    let part = m.assignment.Partition.parts.(part_ix) in
-    let found = ref None in
-    Array.iteri
-      (fun k (pc : Pieces.t) ->
-        if !found = None then
-          match fragment_of pc with
-          | Some f when List.exists (fun u -> Fragment.mem f u) part.Partition.members ->
-              found := Some (which, k, pc)
-          | _ -> ())
-      pl.Partition.own;
-    !found
-  in
-  match try_part `Top l.Marker.top m.assignment.Partition.top_of.(v) with
-  | Some x -> Some x
-  | None -> try_part `Bottom l.Marker.bot m.assignment.Partition.bot_of.(v)
+  List.find_map
+    (fun (u, which, k, pc) -> if u = v then Some (which, k, pc) else None)
+    (Marker.live_pieces m)
 
 let mutate_piece f g m v (s : Verifier.state) =
   ignore g;

@@ -4,8 +4,8 @@ open Ssmst_protocols
 open Ssmst_obs
 open Ssmst_core
 
-(* The runtime observatory: log-bucketed histograms, the phase-span
-   profiler, the online invariant monitors, the report renderers — plus the
+(* The runtime observatory: log-bucketed histograms, the phase ledger,
+   the online invariant monitors, the report renderers — plus the
    compactness audit matrix over every protocol in the repo and the
    engine≡naive differential check with monitors attached. *)
 
@@ -220,90 +220,89 @@ let test_telemetry_probe_wiring () =
       Ssmst_parallel.Probe.with_ "outer" (fun () ->
           Ssmst_parallel.Probe.with_ "inner" Fun.id));
   let names = List.map (fun (p : Telemetry.phase) -> p.name) (Telemetry.phases t) in
-  Alcotest.(check (list string)) "probes feed the installed sink (entry order)"
-    [ "inner"; "outer" ] names;
+  Alcotest.(check (list string)) "probes feed the installed sink (first-entered order)"
+    [ "outer"; "inner" ] names;
   Alcotest.(check bool) "uninstalled probes are inert" true
     (Ssmst_parallel.Probe.get () = None)
 
-(* ---------------- Span ---------------- *)
+(* ---------------- the phase ledger ---------------- *)
 
-let test_span_sampling_and_nesting () =
+module Probe = Ssmst_parallel.Probe
+
+(* Run [f] with a fresh clockless ledger installed; return the ledger. *)
+let with_ledger f =
+  let t = Telemetry.logical () in
+  Telemetry.install t;
+  Fun.protect ~finally:Telemetry.uninstall f;
+  t
+
+let names phases = List.map (fun (p : Telemetry.phase) -> p.name) phases
+
+let test_ledger_nesting_and_siblings () =
   let m = Metrics.create () in
-  let sp = Span.create ~sample:(Span.sampler_of_metrics m) () in
-  m.Metrics.rounds <- 5;
-  Span.open_ sp (Span.Fragment_level 0);
-  m.Metrics.rounds <- 12;
-  m.Metrics.activations <- 40;
-  Span.open_ sp Span.Wave_sweep;
-  m.Metrics.rounds <- 20;
-  m.Metrics.peak_bits <- 33;
-  Span.close sp;
-  m.Metrics.rounds <- 23;
-  Span.close sp;
-  let root = Span.finish sp in
-  Alcotest.(check int) "root rounds = full window" 23 root.Span.rounds;
-  (match Span.children root with
-  | [ frag ] ->
-      Alcotest.(check string) "tag label" "fragment-level 0" (Span.tag_label frag.Span.tag);
-      Alcotest.(check int) "fragment rounds (inclusive)" 18 frag.Span.rounds;
-      Alcotest.(check int) "fragment activations" 40 frag.Span.activations;
-      (match Span.children frag with
-      | [ wave ] ->
-          Alcotest.(check int) "wave rounds" 8 wave.Span.rounds;
-          Alcotest.(check int) "wave peak bits sampled at close" 33 wave.Span.peak_bits
-      | l -> Alcotest.fail (Fmt.str "expected one wave child, got %d" (List.length l)))
-  | l -> Alcotest.fail (Fmt.str "expected one fragment child, got %d" (List.length l)));
-  Alcotest.(check int) "depth_first visits all" 3 (List.length (Span.depth_first root))
+  let t =
+    with_ledger (fun () ->
+        Probe.with_ "fragment-level 0" (fun () ->
+            m.Metrics.rounds <- 5;
+            Metrics.phase m "wave-sweep" (fun () ->
+                m.Metrics.rounds <- 12;
+                m.Metrics.activations <- 40;
+                m.Metrics.peak_bits <- 33);
+            Probe.with_ "marker-assembly" ignore;
+            Metrics.phase m "wave-sweep" (fun () -> m.Metrics.rounds <- 20);
+            Probe.charge ~rounds:3 ()))
+  in
+  let root = Telemetry.root t in
+  Alcotest.(check int) "root rounds = every charge" 18 root.Telemetry.rounds;
+  match Telemetry.children root with
+  | [ frag ] -> (
+      Alcotest.(check int) "fragment rounds (inclusive)" 18 frag.Telemetry.rounds;
+      Alcotest.(check int) "fragment activations" 40 frag.Telemetry.activations;
+      Alcotest.(check int) "fragment peak bits" 33 frag.Telemetry.peak_bits;
+      Alcotest.(check (list string))
+        "children in first-entered order, the repeated name one node"
+        [ "wave-sweep"; "marker-assembly" ]
+        (names (Telemetry.children frag));
+      match Telemetry.children frag with
+      | wave :: _ ->
+          Alcotest.(check int) "same-name sibling adds to calls" 2 wave.Telemetry.calls;
+          Alcotest.(check int) "wave rounds summed over both entries" 15 wave.Telemetry.rounds;
+          Alcotest.(check int) "wave peak bits is the engine's at leave" 33
+            wave.Telemetry.peak_bits
+      | [] -> Alcotest.fail "no wave child")
+  | l -> Alcotest.fail (Fmt.str "expected one fragment child, got %d" (List.length l))
 
-let test_span_charge_is_inclusive () =
-  let sp = Span.create () in
-  Span.open_ sp (Span.Epoch 1);
-  Span.open_ sp Span.Detect;
-  Span.charge sp ~rounds:7 ~activations:2 ~peak_bits:99 ();
-  Span.close sp;
-  Span.close sp;
-  let root = Span.finish sp in
-  let all = Span.depth_first root in
-  Alcotest.(check int) "three nodes" 3 (List.length all);
+let test_ledger_charge_is_inclusive () =
+  let t =
+    with_ledger (fun () ->
+        Probe.with_ "epoch 1" (fun () ->
+            Probe.with_ "detect" (fun () ->
+                Probe.charge ~rounds:7 ~activations:2 ~peak_bits:99 ())))
+  in
+  let all = Telemetry.root t :: Telemetry.phases t in
+  Alcotest.(check (list string)) "three phases" [ "run"; "epoch 1"; "detect" ] (names all);
   List.iter
-    (fun (_, (n : Span.node)) ->
-      Alcotest.(check int) (Span.tag_label n.Span.tag ^ " rounds") 7 n.Span.rounds;
-      Alcotest.(check int) (Span.tag_label n.Span.tag ^ " peak") 99 n.Span.peak_bits)
+    (fun (n : Telemetry.phase) ->
+      Alcotest.(check int) (n.Telemetry.name ^ " rounds") 7 n.Telemetry.rounds;
+      Alcotest.(check int) (n.Telemetry.name ^ " peak") 99 n.Telemetry.peak_bits)
     all
 
-let test_span_exception_safety_and_finish () =
-  let sp = Span.create () in
-  (try
-     Span.with_ sp Span.Settle (fun () ->
-         Span.charge sp ~rounds:3 ();
-         failwith "boom")
-   with Failure _ -> ());
-  Span.open_ sp Span.Inject;
-  Span.open_ sp Span.Verify;
-  (* finish closes the two dangling spans and settles the root *)
-  let root = Span.finish sp in
-  Alcotest.(check int) "settle closed by with_, inject+verify by finish" 3
-    (List.length (Span.depth_first root) - 1);
-  Alcotest.(check int) "charge survived the exception" 3 root.Span.rounds;
-  Alcotest.(check bool) "close on empty stack raises" true
-    (try
-       Span.close sp;
-       false
-     with Invalid_argument _ -> true)
-
-let test_span_trace_marks () =
-  let tr = Trace.create () in
-  let sp = Span.create ~trace:tr () in
-  Span.with_ sp (Span.Campaign_trial 2) (fun () -> ());
-  let marks =
-    List.filter_map
-      (function Trace.Span_mark { label; enter; _ } -> Some (label, enter) | _ -> None)
-      (Trace.to_list tr)
+let test_ledger_exception_safety () =
+  let t =
+    with_ledger (fun () ->
+        (try
+           Probe.with_ "settle" (fun () ->
+               Probe.charge ~rounds:3 ();
+               failwith "boom")
+         with Failure _ -> ());
+        Probe.with_ "inject" ignore)
   in
-  Alcotest.(check (list (pair string bool)))
-    "enter/exit pair recorded"
-    [ ("campaign-trial 2", true); ("campaign-trial 2", false) ]
-    marks
+  Alcotest.(check (list string)) "the exception closed settle: inject is its sibling"
+    [ "settle"; "inject" ] (names (Telemetry.phases t));
+  Alcotest.(check int) "charge survived the exception" 3 (Telemetry.root t).Telemetry.rounds;
+  Telemetry.leave t "nothing open";
+  Alcotest.(check (list string)) "leave with nothing open is a no-op" [ "settle"; "inject" ]
+    (names (Telemetry.phases t))
 
 (* ---------------- Trace: JSON round-trip (satellite) ---------------- *)
 
@@ -836,31 +835,104 @@ let test_compactness_baselines () =
 
 (* ---------------- reports end to end ---------------- *)
 
-let test_report_construct () =
-  let p = { Observatory.default_params with Observatory.n = 32; seed = 11 } in
-  let r = Observatory.construct p in
+(* Each scenario on the random and grid families at two seeds; the ledger
+   must attribute the paper's timetable: a construction's rounds are the
+   marker's [construction_rounds] (SYNC_MST's phase charges, the 11-round
+   warm-up and the partition rounds), every fragment level carries the
+   running peak bits, and the verifier settles for 8 window bounds. *)
+let report_inputs = [ ("random", 11); ("random", 3); ("grid", 11); ("grid", 3) ]
+
+let report_of scenario p =
+  let ledger = Telemetry.logical () in
+  let r = Observatory.run ledger ~scenario p in
   Alcotest.(check bool) "monitors ok" true (Report.all_monitors_ok r);
-  let md = Report.to_markdown r in
+  (r, ledger)
+
+(* The phase at [path] below the root. *)
+let phase_at ledger path =
+  List.fold_left
+    (fun (p : Telemetry.phase) name ->
+      match List.find_opt (fun (c : Telemetry.phase) -> c.name = name) (Telemetry.children p) with
+      | Some c -> c
+      | None -> Alcotest.failf "no phase %S under %S" name p.name)
+    (Telemetry.root ledger) path
+
+let marker_of (p : Observatory.params) =
+  Marker.run (Verifier_campaign.graph_of_family p.family (Gen.rng p.seed) p.n)
+
+let check_construct ctx (c : Telemetry.phase) ~rounds =
+  Alcotest.(check int) (ctx ^ ": construct rounds") rounds c.Telemetry.rounds;
+  let levels =
+    List.filter
+      (fun (f : Telemetry.phase) -> String.starts_with ~prefix:"fragment-level" f.name)
+      (Telemetry.children c)
+  in
+  Alcotest.(check bool) (ctx ^ ": has fragment levels") true (levels <> []);
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Fmt.str "markdown mentions %S" needle) true (contains md needle))
-    [ "fragment-level 0"; "wave-sweep"; "per-node label bits"; "## Span tree"; "| forest | ok |" ]
+    (fun (f : Telemetry.phase) ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: %s peak bits %d > 0" ctx f.name f.peak_bits)
+        true (f.peak_bits > 0))
+    levels
+
+let test_report_construct () =
+  List.iter
+    (fun (family, seed) ->
+      let ctx = Fmt.str "%s seed %d" family seed in
+      let p = { Observatory.default_params with Observatory.family; n = 32; seed } in
+      let r, ledger = report_of "construct" p in
+      let md = Report.to_markdown r in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Fmt.str "markdown mentions %S" needle) true (contains md needle))
+        [ "fragment-level 0"; "wave-sweep"; "per-node label bits"; "## Phases"; "| forest | ok |" ];
+      check_construct ctx (phase_at ledger [ "construct" ])
+        ~rounds:(marker_of p).Marker.construction_rounds)
+    report_inputs
+
+let test_report_verify () =
+  List.iter
+    (fun (family, seed) ->
+      let ctx = Fmt.str "%s seed %d" family seed in
+      let p = { Observatory.default_params with Observatory.family; n = 32; seed } in
+      let r, ledger = report_of "verify" p in
+      let m = marker_of p in
+      check_construct ctx (phase_at ledger [ "construct" ]) ~rounds:m.Marker.construction_rounds;
+      Alcotest.(check int) (ctx ^ ": settle rounds = 8 window bounds")
+        (8 * Verifier.window_bound m.Marker.labels.(0))
+        (phase_at ledger [ "settle" ]).Telemetry.rounds;
+      let md = Report.to_markdown r in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Fmt.str "markdown mentions %S" needle) true (contains md needle))
+        [ "· settle"; "· inject"; "· detect"; "· · make.compute" ])
+    report_inputs
 
 let test_report_stabilize () =
-  let p =
-    { Observatory.default_params with Observatory.n = 48; seed = 3; epochs = 2; faults = 1 }
-  in
-  let r = Observatory.stabilize p in
-  Alcotest.(check bool) "monitors ok" true (Report.all_monitors_ok r);
-  let md = Report.to_markdown r in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Fmt.str "markdown mentions %S" needle) true (contains md needle))
-    [ "epoch 0"; "epoch 1"; "construct"; "detect"; "alarm latency"; "per-node register bits" ];
-  let j = Report.to_json r in
-  Alcotest.(check bool) "json object shaped" true
-    (String.length j > 2 && j.[0] = '{' && j.[String.length j - 1] = '}');
-  Alcotest.(check bool) "json says monitors ok" true (contains j {|"monitors_ok":true|})
+    (fun (family, seed) ->
+      let ctx = Fmt.str "%s seed %d" family seed in
+      let p =
+        { Observatory.default_params with Observatory.family; n = 48; seed; epochs = 2; faults = 1 }
+      in
+      let r, ledger = report_of "stabilize" p in
+      let md = Report.to_markdown r in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Fmt.str "markdown mentions %S" needle) true (contains md needle))
+        [ "epoch 0"; "epoch 1"; "construct"; "detect"; "alarm latency"; "per-node register bits" ];
+      (* a transformer construction adds the O(n) election to the marker's *)
+      let m = marker_of p in
+      List.iter
+        (fun (e : Telemetry.phase) ->
+          check_construct (ctx ^ " " ^ e.name) (phase_at ledger [ e.name; "construct" ])
+            ~rounds:(Transformer.construction_cost m.Marker.graph m))
+        (Telemetry.children (Telemetry.root ledger));
+      let j = Report.to_json r in
+      Alcotest.(check bool) "json object shaped" true
+        (String.length j > 2 && j.[0] = '{' && j.[String.length j - 1] = '}');
+      Alcotest.(check bool) "json says monitors ok" true (contains j {|"monitors_ok":true|}))
+    report_inputs
 
 let suite =
   [
@@ -878,11 +950,10 @@ let suite =
     Alcotest.test_case "telemetry: event cap counts drops" `Quick test_telemetry_event_cap;
     Alcotest.test_case "telemetry: probe install/uninstall wiring" `Quick
       test_telemetry_probe_wiring;
-    Alcotest.test_case "span: sampling + nesting" `Quick test_span_sampling_and_nesting;
-    Alcotest.test_case "span: charge is inclusive" `Quick test_span_charge_is_inclusive;
-    Alcotest.test_case "span: exception safety + finish" `Quick
-      test_span_exception_safety_and_finish;
-    Alcotest.test_case "span: trace marks" `Quick test_span_trace_marks;
+    Alcotest.test_case "ledger: nesting + same-name siblings" `Quick
+      test_ledger_nesting_and_siblings;
+    Alcotest.test_case "ledger: charge is inclusive" `Quick test_ledger_charge_is_inclusive;
+    Alcotest.test_case "ledger: exception safety" `Quick test_ledger_exception_safety;
     Alcotest.test_case "trace: every variant round-trips through JSON" `Quick
       test_trace_json_roundtrip;
     Alcotest.test_case "trace: csv escaping" `Quick test_trace_csv_escaping;
@@ -906,4 +977,5 @@ let suite =
     Alcotest.test_case "compactness audit (baselines)" `Quick test_compactness_baselines;
     Alcotest.test_case "report: construct scenario" `Quick test_report_construct;
     Alcotest.test_case "report: stabilize scenario" `Quick test_report_stabilize;
+    Alcotest.test_case "report: verify scenario" `Quick test_report_verify;
   ]
