@@ -442,6 +442,199 @@ let ablation_window () =
      factors only slow the Ask rotation (and hence detection) linearly.@."
 
 (* ==================================================================== *)
+(* Shared workloads: each written once, parameterised by seed            *)
+(* ==================================================================== *)
+
+let now = Unix.gettimeofday
+
+let wall f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
+
+(* A bench knob from the environment: [default] when unset; a value that
+   does not parse stops the run naming the variable — never a silent
+   fall-back to the default. *)
+let env_knob var parse ~default =
+  match Sys.getenv_opt var with
+  | None -> default
+  | Some s -> (
+      match parse s with
+      | Some v -> v
+      | None ->
+          Fmt.epr "bench: %s=%S does not parse@." var s;
+          exit 2)
+
+(* The instruments the overhead gates attach, and the engine a workload
+   runs on: the naive reference, or the event engine bare or
+   instrumented. *)
+type instrument = Monitors | Recorder | Telemetry
+
+type engine = Naive | Make of instrument option
+
+(* One network under test, whatever its engine and protocol. *)
+type net = {
+  run : int -> unit;  (* sync rounds *)
+  inject : int -> int -> unit;  (* [inject seed count] uniform faults *)
+  detect : unit -> int option;  (* rounds to the first alarm, at most 20 000 *)
+  metrics : Metrics.t;  (* the engine's counters (Naive keeps none: zeros) *)
+  digest : unit -> string;  (* of the register array *)
+}
+
+(* One workload run: the seconds of its timed window, the network as the
+   run left it, and the detection round when it ran to one. *)
+type outcome = { seconds : float; net : net; detection : int option }
+
+module Engines (P : Protocol.S) = struct
+  module Ref = Network.Naive (P)
+  module Net = Network.Make (P)
+  module Rec = Ssmst_replay.Recorder.Make (P)
+
+  let digest states =
+    Digest.to_hex (Digest.string (Marshal.to_string states [ Marshal.No_sharing ]))
+
+  (* A fresh network on [engine]; an instrument is attached right after
+     [create], before the first round.  [parent] is the claimed tree the
+     monitors check (none for ss-bfs). *)
+  let create ?(parent = fun _ -> None) engine g =
+    match engine with
+    | Naive ->
+        let net = Ref.create g in
+        {
+          run = (fun rounds -> Ref.run net Scheduler.Sync ~rounds);
+          inject = (fun seed count -> ignore (Ref.inject_faults net (Gen.rng seed) ~count));
+          detect = (fun () -> Ref.detection_time net Scheduler.Sync ~max_rounds:20000);
+          metrics = Metrics.create ();
+          digest = (fun () -> digest (Ref.states net));
+        }
+    | Make inst ->
+        let net = Net.create g in
+        let metrics = Net.metrics net in
+        (match inst with
+        | None | Some Telemetry -> ()
+        | Some Monitors ->
+            let view =
+              {
+                Ssmst_obs.Monitor.graph = g;
+                parent;
+                bits = (fun v -> P.bits (Net.state net v));
+                alarm = (fun v -> P.alarm (Net.state net v));
+                peak_bits = (fun () -> Net.peak_bits net);
+                any_alarm = (fun () -> Net.any_alarm net);
+                change_counter =
+                  (fun () -> metrics.Metrics.register_writes + metrics.Metrics.faults_injected);
+              }
+            in
+            let mon = Ssmst_obs.Monitor.create ~metrics view in
+            Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net))
+        | Some Recorder ->
+            let r = Rec.create ~interval:64 ~round0:0 g (Net.states net) in
+            Net.set_write_hook net (Rec.engine_hook r (Net.states net)));
+        let run rounds = Net.run net Scheduler.Sync ~rounds in
+        {
+          (* the observatory charges each engine run to its ledger, as
+             [msst report] does *)
+          run =
+            (if inst = Some Monitors then fun r -> Metrics.phase metrics "settle" (fun () -> run r)
+             else run);
+          inject = (fun seed count -> ignore (Net.inject_faults net (Gen.rng seed) ~count));
+          detect = (fun () -> Net.detection_time net Scheduler.Sync ~max_rounds:20000);
+          metrics;
+          digest = (fun () -> digest (Net.states net));
+        }
+end
+
+module Bfs = Engines (Ssmst_protocols.Ss_bfs.P)
+
+(* W1, a silent protocol: ss-bfs on a random 256-node graph settles 600
+   rounds untimed; the timed window is one fault (seed [fault]) and the
+   4096 rounds after it.  The network is quiescent almost everywhere, so
+   the event engine's work follows the fault's footprint while the naive
+   engine re-steps all n nodes every round. *)
+let w1 ~seed ~fault =
+  let g = Gen.random_connected (Gen.rng seed) 256 in
+  fun engine ->
+    let net = Bfs.create engine g in
+    net.run 600;
+    Metrics.reset net.metrics;
+    let (), seconds =
+      wall (fun () ->
+          net.inject fault 1;
+          net.run 4096)
+    in
+    { seconds; net; detection = None }
+
+(* Churn: ss-bfs on a random 256-node graph under 8 bursts of 4 faults
+   (seeds [faults + k]), 128 rounds apart, timed whole.  The election
+   re-converges after every burst, so the dirty set stays busy (a pure
+   quiescent tail would time near-free skipped rounds). *)
+let churn ~seed ~faults =
+  let g = Gen.random_connected (Gen.rng seed) 256 in
+  fun engine ->
+    let net, seconds =
+      wall (fun () ->
+          let net = Bfs.create engine g in
+          for k = 0 to 7 do
+            net.inject (faults + k) 4;
+            net.run 128
+          done;
+          net)
+    in
+    { seconds; net; detection = None }
+
+(* W2 and kin: the passive verifier on a random n-node graph, marker built
+   once, timed whole — create, settle [settle] rounds (default two window
+   bounds) and, given a [fault] seed, one fault and run to the first
+   alarm.  The verifier's trains rotate forever, so every node writes
+   every round. *)
+let verifier ?settle ?fault ~seed n =
+  let g = Gen.random_connected (Gen.rng seed) n in
+  let m = Marker.run g in
+  let module E = Engines (Verifier.Make (struct
+    let marker = m
+    let mode = Verifier.Passive
+  end)) in
+  let settle = Option.value settle ~default:(2 * Verifier.window_bound m.labels.(0)) in
+  fun engine ->
+    let (net, detection), seconds =
+      wall (fun () ->
+          let net = E.create ~parent:(Tree.parent m.Marker.tree) engine g in
+          net.run settle;
+          let detection =
+            Option.bind fault (fun seed ->
+                net.inject seed 1;
+                net.detect ())
+          in
+          (net, detection))
+    in
+    { seconds; net; detection }
+
+module Flat_bfs = Network.Flat (Ssmst_protocols.Ss_bfs.P)
+
+let burst_rounds = 12
+
+(* Grid burst: the packed ss-bfs election on a streamed grid of about n
+   nodes, [burst_rounds] sync rounds with a 64-fault burst every 4 (seeds
+   [faults + r]), the rounds sharded across [d] domains.  A run returns
+   its seconds and the byte-identity witness: register file and metrics
+   CSV row. *)
+let grid_burst ~seed ~faults n =
+  let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+  let g = Gen.stream_grid ~seed side side in
+  ( g,
+    fun d ->
+      let net = Flat_bfs.create ~domains:d g in
+      let (), seconds =
+        wall (fun () ->
+            for r = 1 to burst_rounds do
+              if r mod 4 = 1 then
+                ignore (Flat_bfs.inject net (Gen.rng (faults + r)) (Fault.uniform ~count:64));
+              Flat_bfs.round net Scheduler.Sync
+            done)
+      in
+      (seconds, (Flat_bfs.registers net, Metrics.to_csv_row (Flat_bfs.metrics net))) )
+
+(* ==================================================================== *)
 (* ENGINE — event-driven engine vs naive re-step engine                  *)
 (* ==================================================================== *)
 
@@ -465,96 +658,34 @@ let flush_metrics () =
       close_out oc;
       Fmt.pr "(metrics appended to %s)@." path
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* W1: a silent protocol (self-stabilizing BFS / leader election).  After a
-   single fault the network is quiescent almost everywhere, so the
-   dirty-set engine does work proportional to the fault's footprint while
-   the naive engine re-steps all n nodes every round. *)
-let engine_w1 () =
-  let n = 256 and settle = 600 and after = 4096 in
-  let st = Gen.rng 6200 in
-  let g = Gen.random_connected st n in
-  let module P = Ssmst_protocols.Ss_bfs.P in
-  let module Naive = Network.Naive (P) in
-  let module Engine = Network.Make (P) in
-  (* settle both engines to the stabilized configuration (untimed), then
-     time the post-fault convergence window only *)
-  let naive = Naive.create g and engine = Engine.create g in
-  Naive.run naive Scheduler.Sync ~rounds:settle;
-  Engine.run engine Scheduler.Sync ~rounds:settle;
-  Metrics.reset (Engine.metrics engine);
-  let (), naive_s =
-    wall (fun () ->
-        ignore (Naive.inject_faults naive (Gen.rng 6201) ~count:1);
-        Naive.run naive Scheduler.Sync ~rounds:after)
-  in
-  let (), engine_s =
-    wall (fun () ->
-        ignore (Engine.inject_faults engine (Gen.rng 6201) ~count:1);
-        Engine.run engine Scheduler.Sync ~rounds:after)
-  in
-  (* the two engines agree bit-for-bit *)
-  let agree = Array.for_all2 P.equal (Naive.states naive) (Engine.states engine) in
-  let m = Engine.metrics engine in
-  sink_metrics "ENGINE-W1:ss-bfs-n256-1-fault" m;
-  Fmt.pr "%-34s %10.4fs %10.4fs %9.1fx %8b@."
-    (Fmt.str "W1 ss-bfs: 1 fault + %d rounds" after)
-    naive_s engine_s (naive_s /. engine_s) agree;
-  Fmt.pr "    naive steps %d vs engine activations %d (writes %d, wasted %d, skipped %d)@."
-    (after * n) m.Metrics.activations m.Metrics.register_writes m.Metrics.wasted_steps
-    m.Metrics.skipped_activations
-
-(* W2: the acceptance workload — run_until of the verifier on a 256-node
-   random graph after 1 fault.  The verifier's trains rotate forever, so
-   the dirty set stays populated; the gains here come from the O(1)
-   neighbour index, the O(1) alarm predicate and the removal of the
-   per-round O(n) allocations and rescans. *)
-let engine_w2 () =
-  let n = 256 in
-  let st = Gen.rng 6210 in
-  let g = Gen.random_connected st n in
-  let m = Marker.run g in
-  let module C = struct
-    let marker = m
-    let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Naive = Network.Naive (P) in
-  let module Engine = Network.Make (P) in
-  let settle = 2 * Verifier.window_bound m.labels.(0) in
-  let run_naive () =
-    let net = Naive.create g in
-    Naive.run net Scheduler.Sync ~rounds:settle;
-    ignore (Naive.inject_faults net (Gen.rng 6211) ~count:1);
-    Naive.detection_time net Scheduler.Sync ~max_rounds:20000
-  in
-  let run_engine () =
-    let net = Engine.create g in
-    Engine.run net Scheduler.Sync ~rounds:settle;
-    ignore (Engine.inject_faults net (Gen.rng 6211) ~count:1);
-    let dt = Engine.detection_time net Scheduler.Sync ~max_rounds:20000 in
-    sink_metrics "ENGINE-W2:verifier-n256-1-fault" (Engine.metrics net);
-    dt
-  in
-  let naive_dt, naive_s = wall run_naive in
-  let engine_dt, engine_s = wall run_engine in
-  Fmt.pr "%-34s %10.3fs %10.3fs %9.1fx %8b@."
-    (Fmt.str "W2 verifier run_until detection" )
-    naive_s engine_s (naive_s /. engine_s) (naive_dt = engine_dt);
-  Fmt.pr "    detection after %a rounds (both engines agree on the round)@."
-    Fmt.(option ~none:(any "-") int)
-    engine_dt
-
+(* Each workload on both engines: the timed windows, and whether the two
+   end in the same registers (and, for W2, detect on the same round).  W2
+   gains from the O(1) neighbour index, the O(1) alarm predicate and no
+   per-round O(n) allocations or rescans; W1 from skipping quiet nodes. *)
 let fig_engine () =
   header "ENGINE — event-driven engine vs naive re-step engine (same semantics)";
   Fmt.pr "%-34s %11s %11s %10s %8s@." "workload" "naive" "engine" "speedup" "agree";
   line ();
-  engine_w1 ();
-  engine_w2 ();
+  let on_both label w =
+    let naive = w Naive and engine = w (Make None) in
+    let agree =
+      naive.net.digest () = engine.net.digest () && naive.detection = engine.detection
+    in
+    Fmt.pr "%-34s %10.4fs %10.4fs %9.1fx %8b@." label naive.seconds engine.seconds
+      (naive.seconds /. engine.seconds) agree;
+    engine
+  in
+  let e1 = on_both "W1 ss-bfs: 1 fault + 4096 rounds" (w1 ~seed:6200 ~fault:6201) in
+  let m = e1.net.metrics in
+  sink_metrics "ENGINE-W1:ss-bfs-n256-1-fault" m;
+  Fmt.pr "    naive steps %d vs engine activations %d (writes %d, wasted %d, skipped %d)@."
+    (4096 * 256) m.Metrics.activations m.Metrics.register_writes m.Metrics.wasted_steps
+    m.Metrics.skipped_activations;
+  let e2 = on_both "W2 verifier run_until detection" (verifier ~seed:6210 ~fault:6211 256) in
+  sink_metrics "ENGINE-W2:verifier-n256-1-fault" e2.net.metrics;
+  Fmt.pr "    detection after %a rounds (both engines agree on the round)@."
+    Fmt.(option ~none:(any "-") int)
+    e2.detection;
   flush_metrics ();
   Fmt.pr
     "the differential suite (test/test_engine_diff.ml) asserts state-array and\n\
@@ -593,285 +724,17 @@ let fig_campaign () =
     "shape check: dd columns stay within a constant factor of f*log n for the random\n\
      placements and shrink for the clustered/near-root ones (faults share a ball).@."
 
-(* ==================================================================== *)
-(* OBS — runtime observatory overhead                                    *)
-(* ==================================================================== *)
-
-(* The observability tentpole's cost contract: running with the full
-   observatory attached (online invariant monitors on the engine's round
-   hook plus the clockless phase ledger [msst report] installs, the run
-   charged to it as one engine phase) must stay within 15% of the bare
-   engine.  The monitors' change-counter caching carries the quiescent
-   workload; the verifier workload is the worst case (every node writes
-   every round, so the monitors re-evaluate every round). *)
-let obs_budget = 0.15
-
-let fig_obs () =
-  header "OBS — runtime observatory overhead: probes on vs off (budget: 15%)";
-  let reps = 7 in
-  let time f =
-    ignore (f ());
-    (* best-of-reps: the minimum is the least scheduler-noise-polluted *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let failures = ref [] in
-  Fmt.pr "%-38s %12s %12s %10s@." "workload" "probes off" "probes on" "overhead";
-  line ();
-  let report name t_off t_on =
-    let ov = (t_on -. t_off) /. t_off in
-    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%%@." name (1000. *. t_off) (1000. *. t_on)
-      (100. *. ov);
-    if ov > obs_budget then failures := Fmt.str "%s (%+.1f%%)" name (100. *. ov) :: !failures
-  in
-  let ledgered f =
-    Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.logical ());
-    Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
-  in
-  (* churning workload: the BFS election re-converges after each periodic
-     fault burst (a pure quiescent tail would compare the monitors' O(1)
-     cached check against near-free skipped rounds, measuring only timer
-     noise; the cache itself is unit-tested in test_obs) *)
-  let g1 = Gen.random_connected (Gen.rng 8100) 256 in
-  let bfs_run probes () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let net = Net.create g1 in
-    let drive () =
-      for k = 0 to 7 do
-        ignore (Net.inject_faults net (Gen.rng (8110 + k)) ~count:4);
-        Net.run net Scheduler.Sync ~rounds:128
-      done
-    in
-    if probes then (
-      let view =
-        {
-          Ssmst_obs.Monitor.graph = g1;
-          parent = (fun _ -> None);
-          bits = (fun v -> P.bits (Net.state net v));
-          alarm = (fun v -> P.alarm (Net.state net v));
-          peak_bits = (fun () -> Net.peak_bits net);
-          any_alarm = (fun () -> Net.any_alarm net);
-          change_counter =
-            (fun () ->
-              let m = Net.metrics net in
-              m.Metrics.register_writes + m.Metrics.faults_injected);
-        }
-      in
-      let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
-      Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-      ledgered (fun () -> Metrics.phase (Net.metrics net) "settle" drive))
-    else drive ()
-  in
-  report "ss-bfs + faults n=256, 1024 rounds" (time (bfs_run false)) (time (bfs_run true));
-  (* write-heavy workload: the verifier rewrites every register every
-     round, so every monitored round pays a full re-evaluation *)
-  let g2 = Gen.random_connected (Gen.rng 8200) 128 in
-  let m2 = Marker.run g2 in
-  let module VC = struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end in
-  let module VP = Verifier.Make (VC) in
-  let verifier_run probes () =
-    let module Net = Network.Make (VP) in
-    let net = Net.create g2 in
-    if probes then (
-      let view =
-        {
-          Ssmst_obs.Monitor.graph = g2;
-          parent = Tree.parent m2.Marker.tree;
-          bits = (fun v -> VP.bits (Net.state net v));
-          alarm = (fun v -> VP.alarm (Net.state net v));
-          peak_bits = (fun () -> Net.peak_bits net);
-          any_alarm = (fun () -> Net.any_alarm net);
-          change_counter =
-            (fun () ->
-              let m = Net.metrics net in
-              m.Metrics.register_writes + m.Metrics.faults_injected);
-        }
-      in
-      let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
-      Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-      ledgered (fun () ->
-          Metrics.phase (Net.metrics net) "settle" (fun () -> Net.run net Scheduler.Sync ~rounds:600)))
-    else Net.run net Scheduler.Sync ~rounds:600
-  in
-  report "verifier n=128, 600 rounds"
-    (time (verifier_run false))
-    (time (verifier_run true));
-  match !failures with
-  | [] -> Fmt.pr "observatory overhead within the %.0f%% budget.@." (100. *. obs_budget)
-  | fs ->
-      Fmt.pr "OBS overhead budget (%.0f%%) exceeded: %a@." (100. *. obs_budget)
-        Fmt.(list ~sep:comma string)
-        fs;
-      exit 1
 
 (* ==================================================================== *)
-(* REPLAY — flight recorder overhead + BENCH_PR4.json                    *)
+(* The overhead harness: OBS, REPLAY and PROF                            *)
 (* ==================================================================== *)
-
-(* The flight recorder's cost contract: running the ENGINE workloads with
-   the recorder attached (checkpoint interval k=64, every register write
-   mirrored + pushed to the delta ring) must stay within 20% of the bare
-   engine.  Results are also written as one machine-readable JSON object
-   (BENCH_PR4.json, or $SSMST_BENCH_JSON) for the CI artifact. *)
-let replay_budget = 0.20
-
-let fig_replay () =
-  header "REPLAY — flight recorder overhead: k=64 checkpoints (budget: 20%)";
-  (* each workload times its own measured window (returning the elapsed
-     seconds along with the window's round/write counts); the off/on
-     repetitions are interleaved so slow drift in machine load biases both
-     sides equally.  The reported figure is the *median* of the reps: a
-     best-of compares the two luckiest runs, which makes the overhead
-     ratio flap under machine noise, while the median is stable.  [reps]
-     is per-workload: short windows need more repetitions to converge. *)
-  let time2 ~reps run =
-    ignore (run false ());
-    ignore (run true ());
-    let off = Array.make reps 0. and on_ = Array.make reps 0. in
-    for i = 0 to reps - 1 do
-      off.(i) <- fst (run false ());
-      on_.(i) <- fst (run true ())
-    done;
-    let median a =
-      Array.sort compare a;
-      a.(Array.length a / 2)
-    in
-    (median off, median on_)
-  in
-  Fmt.pr "%-38s %12s %12s %10s@." "workload" "recorder off" "recorder on" "overhead";
-  line ();
-  let rows = ref [] in
-  let measure ?(gated = true) ~reps name run =
-    let t_off, t_on = time2 ~reps run in
-    let _, (rounds, writes) = run true () in
-    let ov = (t_on -. t_off) /. t_off in
-    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%%%s@." name (1000. *. t_off) (1000. *. t_on)
-      (100. *. ov)
-      (if gated then "" else "  (info)");
-    Fmt.pr "    %d rounds, %d recorded write(s), %.0f events/sec while recording@." rounds
-      writes
-      (float_of_int writes /. t_on);
-    rows := (name, t_off, t_on, rounds, writes, ov, gated) :: !rows
-  in
-  (* W1 mirrors ENGINE-W1 exactly: settle the ss-bfs network (untimed, the
-     recorder attached and recording throughout), then time the post-fault
-     convergence window of 4096 mostly-quiescent rounds. *)
-  let g1 = Gen.random_connected (Gen.rng 8300) 256 in
-  let bfs_run record () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let module R = Ssmst_replay.Recorder.Make (P) in
-    let net = Net.create g1 in
-    if record then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g1 (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
-    Net.run net Scheduler.Sync ~rounds:600;
-    Metrics.reset (Net.metrics net);
-    let t0 = Unix.gettimeofday () in
-    ignore (Net.inject_faults net (Gen.rng 8311) ~count:1);
-    Net.run net Scheduler.Sync ~rounds:4096;
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Net.metrics net in
-    (dt, (m.Metrics.rounds, m.Metrics.register_writes + m.Metrics.faults_injected))
-  in
-  measure ~reps:31 "ENGINE-W1 ss-bfs n=256, 1 fault" bfs_run;
-  (* W2 mirrors ENGINE-W2: verifier run-until-detection after 1 fault.  The
-     verifier rewrites every register every round, so every write is
-     mirrored, cause-tagged and ring-pushed — the recorder's dense case. *)
-  let g2 = Gen.random_connected (Gen.rng 8400) 256 in
-  let m2 = Marker.run g2 in
-  let module VC = struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end in
-  let module VP = Verifier.Make (VC) in
-  let settle2 = 2 * Verifier.window_bound m2.labels.(0) in
-  let verifier_run record () =
-    let module Net = Network.Make (VP) in
-    let module R = Ssmst_replay.Recorder.Make (VP) in
-    let t0 = Unix.gettimeofday () in
-    let net = Net.create g2 in
-    if record then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g2 (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
-    Net.run net Scheduler.Sync ~rounds:settle2;
-    ignore (Net.inject_faults net (Gen.rng 8411) ~count:1);
-    ignore (Net.detection_time net Scheduler.Sync ~max_rounds:20000);
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Net.metrics net in
-    (dt, (m.Metrics.rounds, m.Metrics.register_writes))
-  in
-  measure ~reps:5 "ENGINE-W2 verifier n=256, detection" verifier_run;
-  (* informational stress row: fault bursts keep the dirty set saturated so
-     nearly every activation is a recorded write — deliberately harsher
-     than the gated ENGINE workloads *)
-  let churn_run record () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let module R = Ssmst_replay.Recorder.Make (P) in
-    let t0 = Unix.gettimeofday () in
-    let net = Net.create g1 in
-    if record then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g1 (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
-    for k = 0 to 7 do
-      ignore (Net.inject_faults net (Gen.rng (8310 + k)) ~count:4);
-      Net.run net Scheduler.Sync ~rounds:128
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Net.metrics net in
-    (dt, (m.Metrics.rounds, m.Metrics.register_writes + m.Metrics.faults_injected))
-  in
-  measure ~gated:false ~reps:9 "churn ss-bfs n=256, 8x4 faults" churn_run;
-  let rows = List.rev !rows in
-  (* the machine-readable sink for CI *)
-  let json_path =
-    Option.value ~default:"BENCH_PR4.json" (Sys.getenv_opt "SSMST_BENCH_JSON")
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    {|{"pr":4,"checkpoint_interval":64,"budget_pct":%.1f,"workloads":[%s],"within_budget":%b}
-|}
-    (100. *. replay_budget)
-    (String.concat ","
-       (List.map
-          (fun (name, t_off, t_on, rounds, writes, ov, gated) ->
-            Printf.sprintf
-              {|{"name":"%s","wall_off_s":%.6f,"wall_on_s":%.6f,"rounds":%d,"writes":%d,"events_per_sec":%.0f,"overhead_pct":%.2f,"gated":%b}|}
-              (Ssmst_sim.Trace.json_escape name)
-              t_off t_on rounds writes
-              (float_of_int writes /. t_on)
-              (100. *. ov) gated)
-          rows))
-    (List.for_all (fun (_, _, _, _, _, ov, gated) -> (not gated) || ov <= replay_budget) rows);
-  close_out oc;
-  Fmt.pr "@.(machine-readable results written to %s)@." json_path;
-  match List.filter (fun (_, _, _, _, _, ov, gated) -> gated && ov > replay_budget) rows with
-  | [] -> Fmt.pr "recorder overhead within the %.0f%% budget.@." (100. *. replay_budget)
-  | fs ->
-      Fmt.pr "REPLAY overhead budget (%.0f%%) exceeded: %a@." (100. *. replay_budget)
-        Fmt.(list ~sep:comma string)
-        (List.map (fun (n, _, _, _, _, ov, _) -> Fmt.str "%s (%+.1f%%)" n (100. *. ov)) fs);
-      exit 1
 
 (* The minimal JSON reader for the bench artifacts lives in
-   [Ssmst_obs.Json_lite] since PR 9 (the trend report, the perf-trajectory
-   section and the unit tests share it); the alias keeps the call sites
-   below unchanged. *)
+   [Ssmst_obs.Json_lite] (the trend report, the perf-trajectory section
+   and the unit tests share it). *)
 module Json = Ssmst_obs.Json_lite
+
+let artifact_path var default = Option.value ~default (Sys.getenv_opt var)
 
 (* Never let an un-gated run (too few cores for the scaling gate) clobber
    an artifact that records a gated one: REPORT would then chart the
@@ -905,337 +768,372 @@ let write_artifact_guarded ~json_path ~gated contents =
       Fmt.pr "(machine-readable results written to %s)@." json_path;
       true
 
-(* ==================================================================== *)
-(* PROF — telemetry overhead gate + BENCH_PR9.json                       *)
-(* ==================================================================== *)
+(* Print the failures of a gate and exit 1, or return. *)
+let verdict id = function
+  | [] -> ()
+  | fails ->
+      Fmt.pr "%s gate failed: %a@." id Fmt.(list ~sep:semi string) fails;
+      exit 1
 
-(* The telemetry layer's cost contract, measured on the same ENGINE
-   workloads the flight recorder is gated on: installing a Telemetry
-   profiler on the global Probe hook must stay within 5% of the bare run
-   (median of interleaved reps, like REPLAY).  The disabled side needs no
-   separate gate: with no sink installed every probe is one ref read and
-   a branch — the bare baseline measured here IS the disabled path.
-   Alongside the overhead gate the run asserts out-of-band-ness cheaply:
-   the profiled run's metrics CSV row must equal the bare run's byte for
-   byte (the full seven-observable identity suite at -d 1/2/4 lives in
-   test_domains).  Results land in BENCH_PR9.json (or
-   $SSMST_BENCH_PR9_JSON); noisy runners can soften the budget via
-   SSMST_PROF_BUDGET (percent). *)
-let prof_budget () =
-  match Sys.getenv_opt "SSMST_PROF_BUDGET" with
-  | Some s -> ( try float_of_string s /. 100. with Failure _ -> 0.05)
-  | None -> 0.05
+let with_ledger tel f =
+  Ssmst_obs.Telemetry.install tel;
+  Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
 
-let fig_prof () =
-  let budget = prof_budget () in
-  header
-    (Printf.sprintf "PROF — telemetry overhead: probes on the ENGINE workloads (budget: %.0f%%)"
-       (100. *. budget));
-  let time2 ~reps run =
-    ignore (run false ());
-    ignore (run true ());
-    let off = Array.make reps 0. and on_ = Array.make reps 0. in
-    for i = 0 to reps - 1 do
-      off.(i) <- fst (run false ());
-      on_.(i) <- fst (run true ())
-    done;
-    let median a =
-      Array.sort compare a;
-      a.(Array.length a / 2)
-    in
-    (median off, median on_)
-  in
-  Fmt.pr "%-38s %12s %12s %10s %9s@." "workload" "probes off" "probes on" "overhead" "identical";
+(* The global half of an instrument: the phase ledger it installs around a
+   run ([msst report]'s clockless one for the observatory, a clocked
+   profiler for PROF).  The per-network half is attached by
+   {!Engines.create}. *)
+let framed inst f =
+  match inst with
+  | Monitors -> with_ledger (Ssmst_obs.Telemetry.logical ()) f
+  | Telemetry -> with_ledger (Ssmst_obs.Telemetry.create ()) f
+  | Recorder -> f ()
+
+(* An overhead row: a workload's timed window and counters on the given
+   engine, with how many interleaved off/on pairs it needs (short windows
+   need more to converge); an ungated row is informational. *)
+type row = { name : string; reps : int; gated : bool; run : engine -> float * Metrics.t }
+
+let row ?(gated = true) ~reps name run = { name; reps; gated; run }
+
+let of_outcome w engine =
+  let o = w engine in
+  (o.seconds, o.net.metrics)
+
+type measured = {
+  row : row;
+  off_s : float;
+  on_s : float;
+  overhead : float;
+  identical : bool;  (* every run's metrics CSV equals the bare warm-up's *)
+  rounds : int;  (* of the instrumented timed window *)
+  writes : int;  (* register writes + injected faults, likewise *)
+}
+
+let median a =
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* The one off/on timer.  Per row: a warm-up pair, then [reps] pairs
+   interleaved and alternating which side runs first, so drift in the
+   host's load lands on both sides; each side's figure is its median (a
+   best-of compares the two luckiest runs and flaps under noise).  Every
+   run's metrics CSV must equal the bare warm-up's: an instrument stays
+   out-of-band or the gate fails.  Returns the rows and the failures. *)
+let overhead ~label ~budget inst rows =
+  Fmt.pr "%-38s %12s %12s %10s %9s@." "workload" (label ^ " off") (label ^ " on") "overhead"
+    "identical";
   line ();
-  let rows = ref [] in
-  let measure ?(gated = true) ~reps name run =
-    let t_off, t_on = time2 ~reps run in
-    let _, csv_off = run false () in
-    let _, csv_on = run true () in
-    let identical = csv_off = csv_on in
-    let ov = (t_on -. t_off) /. t_off in
-    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%% %9s%s@." name (1000. *. t_off) (1000. *. t_on)
-      (100. *. ov)
-      (if identical then "yes" else "NO")
-      (if gated then "" else "  (info)");
-    rows := (name, t_off, t_on, ov, identical, gated) :: !rows
-  in
-  let profiled telemetry f =
-    if not telemetry then f ()
-    else begin
-      let tel = Ssmst_obs.Telemetry.create () in
-      Ssmst_obs.Telemetry.install tel;
-      Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
-    end
-  in
-  (* W1/W2 mirror REPLAY's ENGINE workloads exactly (same graphs, seeds
-     and windows), so the bare wall_off_s columns of BENCH_PR4.json and
-     BENCH_PR9.json chart the same experiment across PRs — the
-     perf-trajectory section keys on that. *)
-  let g1 = Gen.random_connected (Gen.rng 8300) 256 in
-  let bfs_run telemetry () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let net = Net.create g1 in
-    Net.run net Scheduler.Sync ~rounds:600;
-    Metrics.reset (Net.metrics net);
-    let dt =
-      profiled telemetry (fun () ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Net.inject_faults net (Gen.rng 8311) ~count:1);
-          Net.run net Scheduler.Sync ~rounds:4096;
-          Unix.gettimeofday () -. t0)
+  let measure r =
+    let side on =
+      let s, m =
+        if on then framed inst (fun () -> r.run (Make (Some inst))) else r.run (Make None)
+      in
+      let writes = m.Metrics.register_writes + m.Metrics.faults_injected in
+      (s, Metrics.to_csv_row m, m.Metrics.rounds, writes)
     in
-    (dt, Metrics.to_csv_row (Net.metrics net))
-  in
-  measure ~reps:31 "ENGINE-W1 ss-bfs n=256, 1 fault" bfs_run;
-  let g2 = Gen.random_connected (Gen.rng 8400) 256 in
-  let m2 = Marker.run g2 in
-  let module VC = struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end in
-  let module VP = Verifier.Make (VC) in
-  let settle2 = 2 * Verifier.window_bound m2.labels.(0) in
-  let verifier_run telemetry () =
-    let module Net = Network.Make (VP) in
-    let dt, m =
-      profiled telemetry (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let net = Net.create g2 in
-          Net.run net Scheduler.Sync ~rounds:settle2;
-          ignore (Net.inject_faults net (Gen.rng 8411) ~count:1);
-          ignore (Net.detection_time net Scheduler.Sync ~max_rounds:20000);
-          (Unix.gettimeofday () -. t0, Net.metrics net))
+    let _, reference, _, _ = side false in
+    let _, warm, rounds, writes = side true in
+    let identical = ref (warm = reference) in
+    let off = Array.make r.reps 0. and on_ = Array.make r.reps 0. in
+    let sample i on =
+      let s, csv, _, _ = side on in
+      (if on then on_ else off).(i) <- s;
+      if csv <> reference then identical := false
     in
-    (dt, Metrics.to_csv_row m)
+    for i = 0 to r.reps - 1 do
+      sample i (i mod 2 = 1);
+      sample i (i mod 2 = 0)
+    done;
+    let off_s = median off and on_s = median on_ in
+    let overhead = (on_s -. off_s) /. off_s in
+    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%% %9s%s@." r.name (1000. *. off_s) (1000. *. on_s)
+      (100. *. overhead)
+      (if !identical then "yes" else "NO")
+      (if r.gated then "" else "  (info)");
+    Fmt.pr "    %d rounds, %d write(s), %.0f events/sec instrumented@." rounds writes
+      (float_of_int writes /. on_s);
+    { row = r; off_s; on_s; overhead; identical = !identical; rounds; writes }
   in
-  measure ~reps:5 "ENGINE-W2 verifier n=256, detection" verifier_run;
-  (* the flat engine's probe set (frontier/compute/apply), informational:
-     the packed election at n=4096 exercises flat.* and, under -d, the
-     per-worker spans — but its wall time breathes with the allocator *)
-  let g3 = Gen.random_connected (Gen.rng 8500) 4096 in
-  let flat_run telemetry () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module F = Network.Flat (P) in
-    let net = F.create g3 in
-    let dt =
-      profiled telemetry (fun () ->
-          let t0 = Unix.gettimeofday () in
-          F.run net Scheduler.Sync ~rounds:200;
-          Unix.gettimeofday () -. t0)
-    in
-    (dt, Metrics.to_csv_row (F.metrics net))
+  let measured = List.map measure rows in
+  let fails =
+    List.concat_map
+      (fun m ->
+        (if m.row.gated && m.overhead > budget then
+           [ Fmt.str "%s: %+.1f%% over the %.0f%% budget" m.row.name (100. *. m.overhead)
+               (100. *. budget) ]
+         else [])
+        @
+        if m.identical then []
+        else
+          [ Fmt.str "%s: metrics CSV differs with the %s on (not out-of-band)" m.row.name label ])
+      measured
   in
-  measure ~gated:false ~reps:5 "flat ss-bfs n=4096, election" flat_run;
-  (* ---- per-phase breakdown at scale (informational) -------------------
-     The measured table EXPERIMENTS.md quotes: the DOMAINS workload (grid
-     n ~= 250k, 12 sync rounds, a fault burst every 4) with a live
-     profiler attached, at -d min(4, cores) — flat.frontier vs
-     flat.compute vs flat.apply is exactly the wrote-tag scan /
-     scratch-blit cost split ROADMAP asks about.  SSMST_PROF_BREAKDOWN_N
-     shrinks it for smoke runs; 0 skips it. *)
-  let breakdown_n =
-    match Sys.getenv_opt "SSMST_PROF_BREAKDOWN_N" with
-    | Some s -> ( try int_of_string s with _ -> 250_000)
-    | None -> 250_000
+  if fails = [] then
+    Fmt.pr "%s overhead within the %.0f%% budget; metrics identical off and on.@." label
+      (100. *. budget);
+  (measured, fails)
+
+let within budget = List.for_all (fun m -> (not m.row.gated) || m.overhead <= budget)
+
+(* ==================================================================== *)
+(* OBS — runtime observatory overhead                                    *)
+(* ==================================================================== *)
+
+(* The observability tentpole's cost contract: running with the full
+   observatory attached (online invariant monitors on the engine's round
+   hook plus the clockless phase ledger [msst report] installs, each
+   engine run charged to it as a phase) must stay within 15% of the bare
+   engine.  The monitors' change-counter caching carries the churning
+   workload; the verifier is the worst case (every node writes every
+   round, so the monitors re-evaluate every round). *)
+let obs_budget = 0.15
+
+let fig_obs () =
+  header "OBS — runtime observatory overhead: probes on vs off (budget: 15%)";
+  let _, fails =
+    overhead ~label:"probes" ~budget:obs_budget Monitors
+      [
+        row ~reps:15 "ss-bfs + faults n=256, 1024 rounds"
+          (of_outcome (churn ~seed:8100 ~faults:8110));
+        row ~reps:9 "verifier n=128, 600 rounds" (of_outcome (verifier ~settle:600 ~seed:8200 128));
+      ]
   in
-  (* The dense-frontier budget (PR 10): the flat.frontier phase must stay
-     under this share of the flat.* round wall time at scale.  The list
-     frontier sat at ~42%; the dense frontier's contract is < 25%.
-     SSMST_PROF_FRONTIER_BUDGET (percent) softens it for noisy runners. *)
-  let frontier_budget =
-    match Sys.getenv_opt "SSMST_PROF_FRONTIER_BUDGET" with
-    | Some s -> ( try float_of_string s with Failure _ -> 25.)
-    | None -> 25.
+  verdict "OBS" fails
+
+(* ==================================================================== *)
+(* REPLAY — flight recorder overhead + BENCH_PR4.json                    *)
+(* ==================================================================== *)
+
+(* The flight recorder's cost contract: the ENGINE workloads with the
+   recorder attached (checkpoint interval k=64, every register write
+   mirrored and pushed to the delta ring) must stay within 20% of the bare
+   engine.  Rows land in BENCH_PR4.json (or $SSMST_BENCH_JSON). *)
+let replay_budget = 0.20
+
+let fig_replay () =
+  header "REPLAY — flight recorder overhead: k=64 checkpoints (budget: 20%)";
+  let measured, fails =
+    overhead ~label:"recorder" ~budget:replay_budget Recorder
+      [
+        row ~reps:31 "ENGINE-W1 ss-bfs n=256, 1 fault" (of_outcome (w1 ~seed:8300 ~fault:8311));
+        row ~reps:5 "ENGINE-W2 verifier n=256, detection"
+          (of_outcome (verifier ~fault:8411 ~seed:8400 256));
+        (* informational stress row: fault bursts keep the dirty set
+           saturated, so nearly every activation is a recorded write *)
+        row ~gated:false ~reps:9 "churn ss-bfs n=256, 8x4 faults"
+          (of_outcome (churn ~seed:8300 ~faults:8310));
+      ]
   in
-  let frontier_fail = ref None in
-  if breakdown_n > 0 then begin
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module F = Network.Flat (P) in
-    let side = max 2 (int_of_float (sqrt (float_of_int breakdown_n))) in
-    let g = Gen.stream_grid ~seed:7700 side side in
+  ignore
+    (write_artifact_guarded ~gated:true
+       ~json_path:(artifact_path "SSMST_BENCH_JSON" "BENCH_PR4.json")
+       (Printf.sprintf
+          {|{"pr":4,"checkpoint_interval":64,"budget_pct":%.1f,"workloads":[%s],"within_budget":%b}
+|}
+          (100. *. replay_budget)
+          (String.concat ","
+             (List.map
+                (fun m ->
+                  Printf.sprintf
+                    {|{"name":"%s","wall_off_s":%.6f,"wall_on_s":%.6f,"rounds":%d,"writes":%d,"events_per_sec":%.0f,"overhead_pct":%.2f,"gated":%b}|}
+                    (Trace.json_escape m.row.name) m.off_s m.on_s m.rounds m.writes
+                    (float_of_int m.writes /. m.on_s)
+                    (100. *. m.overhead) m.row.gated)
+                measured))
+          (within replay_budget measured)));
+  verdict "REPLAY" fails
+
+(* ==================================================================== *)
+(* PROF — telemetry overhead gate + BENCH_PR9.json / BENCH_PR10.json     *)
+(* ==================================================================== *)
+
+(* The telemetry layer's cost contract, on the same ENGINE workloads (same
+   graphs, seeds and windows) the flight recorder is gated on, so the bare
+   wall_off_s columns of BENCH_PR4.json and BENCH_PR9.json chart one
+   experiment across PRs: installing a profiler on the global Probe hook
+   must stay within 5% of the bare run.  The disabled side needs no gate
+   of its own: with no sink installed every probe is one ref read and a
+   branch, so the bare baseline IS the disabled path.  The full
+   seven-observable identity suite at -d 1/2/4 lives in test_domains.
+   Rows land in BENCH_PR9.json (or $SSMST_BENCH_PR9_JSON). *)
+let prof_budget = 0.05
+
+(* The dense frontier's contract (PR 10): under this share (percent) of
+   the flat.* round wall time at scale; the list frontier sat at ~42%. *)
+let frontier_budget = 25.
+
+(* The per-phase breakdown EXPERIMENTS.md quotes: the grid-burst workload
+   at n ~= 250k (SSMST_PROF_BREAKDOWN_N; 0 skips) with a live profiler at
+   -d min(4, cores) — flat.frontier vs flat.compute vs flat.apply.
+   Records the frontier share and allocation per round in BENCH_PR10.json
+   (or $SSMST_BENCH_PR10_JSON); returns the frontier gate's failures. *)
+let prof_breakdown n =
+  if n <= 0 then []
+  else begin
+    let g, run = grid_burst ~seed:7700 ~faults:9000 n in
     let d = min 4 (Ssmst_parallel.Pool.cpu_count ()) in
-    let rounds = 12 in
     let tel = Ssmst_obs.Telemetry.create () in
-    Ssmst_obs.Telemetry.install tel;
-    Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () ->
-        let net = F.create ~domains:d g in
-        for r = 1 to rounds do
-          if r mod 4 = 1 then
-            ignore (F.inject net (Gen.rng (9000 + r)) (Fault.uniform ~count:64));
-          F.round net Scheduler.Sync
-        done);
-    Fmt.pr "@.per-phase breakdown — flat parallel round, grid n=%d, -d %d:@.@.%s@."
-      (Graph.n g) d
+    ignore (with_ledger tel (fun () -> run d));
+    Fmt.pr "@.per-phase breakdown — flat parallel round, grid n=%d, -d %d:@.@.%s@." (Graph.n g) d
       (Ssmst_obs.Telemetry.to_markdown tel);
-    (* distil the two trajectory metrics the REPORT regression flag keys
-       on: frontier's share of the flat.* round wall, and allocation per
-       round summed over the flat.* phases *)
-    let flat_phase (p : Ssmst_obs.Telemetry.phase) =
-      String.length p.name > 5 && String.sub p.name 0 5 = "flat."
+    (* the two trajectory metrics the REPORT regression flag keys on *)
+    let phases =
+      List.filter
+        (fun (p : Ssmst_obs.Telemetry.phase) -> String.starts_with ~prefix:"flat." p.name)
+        (Ssmst_obs.Telemetry.phases tel)
     in
-    let phases = List.filter flat_phase (Ssmst_obs.Telemetry.phases tel) in
     let sum f = List.fold_left (fun acc p -> acc +. f p) 0. phases in
     let wall = sum (fun p -> p.Ssmst_obs.Telemetry.wall_s) in
-    let frontier_wall =
-      sum (fun p -> if p.Ssmst_obs.Telemetry.name = "flat.frontier" then p.wall_s else 0.)
-    in
+    let frontier_wall = sum (fun p -> if p.name = "flat.frontier" then p.wall_s else 0.) in
     let share = if wall > 0. then 100. *. frontier_wall /. wall else 0. in
-    let minor_per_round =
-      sum (fun p -> p.Ssmst_obs.Telemetry.minor_words) /. float_of_int rounds
-    in
+    let minor_per_round = sum (fun p -> p.minor_words) /. float_of_int burst_rounds in
     Fmt.pr "frontier share of round wall: %.1f%% (budget < %.0f%%)@." share frontier_budget;
     Fmt.pr "minor words per round (flat.* phases): %.3e@." minor_per_round;
-    if share >= frontier_budget then
-      frontier_fail :=
-        Some (Fmt.str "frontier share %.1f%% >= budget %.0f%%" share frontier_budget);
-    let json_path =
-      Option.value ~default:"BENCH_PR10.json" (Sys.getenv_opt "SSMST_BENCH_PR10_JSON")
-    in
-    let contents =
-      Printf.sprintf
-        {|{"pr":10,"gated":true,"frontier_budget_pct":%.1f,"workloads":[{"name":"flat grid n=%d -d %d breakdown","frontier_share_pct":%.2f,"minor_words_per_round":%.1f,"wall_s":%.6f}],"within_budget":%b}
+    ignore
+      (write_artifact_guarded ~gated:true
+         ~json_path:(artifact_path "SSMST_BENCH_PR10_JSON" "BENCH_PR10.json")
+         (Printf.sprintf
+            {|{"pr":10,"gated":true,"frontier_budget_pct":%.1f,"workloads":[{"name":"flat grid n=%d -d %d breakdown","frontier_share_pct":%.2f,"minor_words_per_round":%.1f,"wall_s":%.6f}],"within_budget":%b}
 |}
-        frontier_budget (Graph.n g) d share minor_per_round wall
-        (share < frontier_budget)
-    in
-    ignore (write_artifact_guarded ~json_path ~gated:true contents)
-  end;
-  let rows = List.rev !rows in
-  let identity_ok = List.for_all (fun (_, _, _, _, id, _) -> id) rows in
-  let within =
-    List.for_all (fun (_, _, _, ov, _, gated) -> (not gated) || ov <= budget) rows
+            frontier_budget (Graph.n g) d share minor_per_round wall (share < frontier_budget)));
+    if share < frontier_budget then []
+    else [ Fmt.str "frontier share %.1f%% >= budget %.0f%%" share frontier_budget ]
+  end
+
+let fig_prof () =
+  header "PROF — telemetry overhead: probes on the ENGINE workloads (budget: 5%)";
+  let breakdown_n = env_knob "SSMST_PROF_BREAKDOWN_N" int_of_string_opt ~default:250_000 in
+  (* the flat engine's probe set (frontier/compute/apply), informational:
+     its wall time breathes with the allocator *)
+  let g3 = Gen.random_connected (Gen.rng 8500) 4096 in
+  let flat_election _ =
+    let net = Flat_bfs.create g3 in
+    let (), s = wall (fun () -> Flat_bfs.run net Scheduler.Sync ~rounds:200) in
+    (s, Flat_bfs.metrics net)
   in
-  let json_path =
-    Option.value ~default:"BENCH_PR9.json" (Sys.getenv_opt "SSMST_BENCH_PR9_JSON")
+  let measured, fails =
+    overhead ~label:"probes" ~budget:prof_budget Telemetry
+      [
+        row ~reps:31 "ENGINE-W1 ss-bfs n=256, 1 fault" (of_outcome (w1 ~seed:8300 ~fault:8311));
+        row ~reps:5 "ENGINE-W2 verifier n=256, detection"
+          (of_outcome (verifier ~fault:8411 ~seed:8400 256));
+        row ~gated:false ~reps:5 "flat ss-bfs n=4096, election" flat_election;
+      ]
   in
-  let contents =
-    Printf.sprintf
-      {|{"pr":9,"budget_pct":%.1f,"gated":true,"identity_ok":%b,"workloads":[%s],"within_budget":%b}
+  let frontier_fails = prof_breakdown breakdown_n in
+  ignore
+    (write_artifact_guarded ~gated:true
+       ~json_path:(artifact_path "SSMST_BENCH_PR9_JSON" "BENCH_PR9.json")
+       (Printf.sprintf
+          {|{"pr":9,"budget_pct":%.1f,"gated":true,"identity_ok":%b,"workloads":[%s],"within_budget":%b}
 |}
-      (100. *. budget) identity_ok
-      (String.concat ","
-         (List.map
-            (fun (name, t_off, t_on, ov, identical, gated) ->
-              Printf.sprintf
-                {|{"name":"%s","wall_off_s":%.6f,"wall_on_s":%.6f,"overhead_pct":%.2f,"identical":%b,"gated":%b}|}
-                (Ssmst_sim.Trace.json_escape name)
-                t_off t_on (100. *. ov) identical gated)
-            rows))
-      within
+          (100. *. prof_budget)
+          (List.for_all (fun m -> m.identical) measured)
+          (String.concat ","
+             (List.map
+                (fun m ->
+                  Printf.sprintf
+                    {|{"name":"%s","wall_off_s":%.6f,"wall_on_s":%.6f,"overhead_pct":%.2f,"identical":%b,"gated":%b}|}
+                    (Trace.json_escape m.row.name) m.off_s m.on_s (100. *. m.overhead)
+                    m.identical m.row.gated)
+                measured))
+          (within prof_budget measured)));
+  verdict "PROF" (fails @ frontier_fails)
+
+(* ==================================================================== *)
+(* The scaling harness: PAR and DOMAINS                                  *)
+(* ==================================================================== *)
+
+(* The one k-way scaling harness: [run k] at k = 1, 2, 4 returns seconds
+   and an output witness, and every k must reproduce k = 1's witness
+   exactly — checked on every run, unconditionally.  The speedup at k = 4
+   is a physical claim, so its gate is core-aware: enforced only on >= 4
+   cores (and, for domains, a multicore runtime); otherwise the artifact
+   records gated=false, written through {!write_artifact_guarded}.
+   [key] names k in the table and the artifact ("jobs", "domains");
+   [fields_pre]/[fields_post] are the artifact's own fields before
+   "cores" and before "workloads". *)
+let scaling ~id ~key ~flag ~pr ?(multicore = true) ?(fields_pre = "") ?(fields_post = "")
+    ~min_speedup ~json_path run =
+  Fmt.pr "%-10s %12s %10s %10s@." key "wall" "speedup" "identical";
+  line ();
+  let t1, out1 = run 1 in
+  Fmt.pr "%-10d %9.3f s %10s %10s@." 1 t1 "1.00x" "-";
+  let rows =
+    (1, t1, 1.0, true)
+    :: List.map
+         (fun k ->
+           let tk, out = run k in
+           let same = out = out1 in
+           Fmt.pr "%-10d %9.3f s %9.2fx %10b@." k tk (t1 /. tk) same;
+           (k, tk, t1 /. tk, same))
+         [ 2; 4 ]
   in
-  ignore (write_artifact_guarded ~json_path ~gated:true contents);
-  if not identity_ok then begin
-    Fmt.pr "PROF: telemetry leaked into the metrics CSV — out-of-band contract broken.@.";
-    exit 1
-  end;
-  (match List.filter (fun (_, _, _, ov, _, gated) -> gated && ov > budget) rows with
-  | [] -> Fmt.pr "telemetry overhead within the %.0f%% budget.@." (100. *. budget)
-  | fs ->
-      Fmt.pr "PROF overhead budget (%.0f%%) exceeded: %a@." (100. *. budget)
-        Fmt.(list ~sep:comma string)
-        (List.map (fun (n, _, _, ov, _, _) -> Fmt.str "%s (%+.1f%%)" n (100. *. ov)) fs);
-      exit 1);
-  match !frontier_fail with
-  | None -> ()
-  | Some msg ->
-      Fmt.pr "PROF frontier budget exceeded: %s@." msg;
-      exit 1
+  let cores = Ssmst_parallel.Pool.cpu_count () in
+  let gated = cores >= 4 && multicore in
+  let identical = List.for_all (fun (_, _, _, same) -> same) rows in
+  let speedup4 = List.fold_left (fun acc (k, _, s, _) -> if k = 4 then s else acc) 0. rows in
+  let within = identical && ((not gated) || speedup4 >= min_speedup) in
+  Fmt.pr "@.%d core(s); speedup gate (>= %.2fx at %s 4) %s@." cores min_speedup flag
+    (if gated then "enforced"
+     else if not multicore then "informational (sequential runtime — OCaml < 5.0)"
+     else "informational (needs >= 4 cores)");
+  if not gated then Fmt.pr "gate skipped: %d cores (scaling gate needs >= 4)@." cores;
+  ignore
+    (write_artifact_guarded ~json_path ~gated
+       (Printf.sprintf
+          {|{"pr":%d,%s"cores":%d,"min_speedup":%.2f,"gated":%b,%s"workloads":[%s],"identical":%b,"within_budget":%b}
+|}
+          pr fields_pre cores min_speedup gated fields_post
+          (String.concat ","
+             (List.map
+                (fun (k, t, s, same) ->
+                  Printf.sprintf {|{"%s":%d,"wall_s":%.6f,"speedup":%.3f,"identical":%b}|} key k t
+                    s same)
+                rows))
+          identical within));
+  verdict id
+    ((if identical then []
+      else [ Fmt.str "determinism violated: output at %s 2/4 differs from %s 1" flag flag ])
+    @
+    if gated && speedup4 < min_speedup then
+      [ Fmt.str "scaling budget missed: %.2fx at %s 4 (target %.2fx)" speedup4 flag min_speedup ]
+    else [])
 
 (* ==================================================================== *)
 (* PAR — parallel campaign scaling + byte-determinism + BENCH_PR5.json   *)
 (* ==================================================================== *)
 
-(* The fork pool's two contracts, measured on the real campaign sweep:
-   (1) the CSV/JSONL bytes are identical for every -j (checked here on
-   every run, unconditionally), and (2) -j 4 is at least 2.5x faster than
-   sequential — a physical claim that only means something with >= 4
-   cores, so the speedup gate is core-aware: on smaller machines the row
-   is informational and BENCH_PR5.json records gated=false.  CI (and
-   noisy shared runners) can soften the target via SSMST_PAR_MIN_SPEEDUP.
+(* The fork pool's two contracts, measured on the real campaign sweep: the
+   CSV/JSONL bytes are identical for every -j, and -j 4 is at least 2.5x
+   faster than sequential (SSMST_PAR_MIN_SPEEDUP overrides the target).
    Results land in BENCH_PR5.json (or $SSMST_BENCH_PR5_JSON). *)
-let par_min_speedup () =
-  match Sys.getenv_opt "SSMST_PAR_MIN_SPEEDUP" with
-  | Some s -> (try max 1.0 (float_of_string s) with _ -> 2.5)
-  | None -> 2.5
-
 let fig_par () =
   header "PAR — parallel campaign sweep: fork-pool scaling vs sequential";
-  let families = [ "random"; "grid" ] and sizes = [ 48; 64 ] in
+  let families = [ "random"; "grid" ] and sizes = [ 48; 64 ] and seeds = 3 in
   let fault_counts = [ 1; 2; 4 ] and models = [ "uniform"; "clustered"; "near-root" ] in
-  let sweep jobs =
-    Verifier_campaign.sweep ~jobs ~families ~sizes ~fault_counts ~models ~seeds:3 ~seed:9500
-      ~max_rounds:20000 ()
-  in
+  let instances = List.length families * List.length sizes * seeds in
+  let per_instance = List.length fault_counts * List.length models in
+  Fmt.pr "%d instances x %d trials each; %d trials total@." instances per_instance
+    (instances * per_instance);
   (* the exact bytes msst campaign would write: CSV document + JSONL *)
-  let doc trials =
-    String.concat "\n" (Campaign.csv_header :: List.map Campaign.trial_to_csv trials)
-    ^ "\n"
-    ^ String.concat "\n" (List.map Campaign.trial_to_json trials)
+  let run jobs =
+    let trials, s =
+      wall (fun () ->
+          Verifier_campaign.sweep ~jobs ~families ~sizes ~fault_counts ~models ~seeds ~seed:9500
+            ~max_rounds:20000 ())
+    in
+    ( s,
+      String.concat "\n" (Campaign.csv_header :: List.map Campaign.trial_to_csv trials)
+      ^ "\n"
+      ^ String.concat "\n" (List.map Campaign.trial_to_json trials) )
   in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let trials = sweep jobs in
-    (Unix.gettimeofday () -. t0, trials)
-  in
-  let t1, seq = time 1 in
-  let base = doc seq in
-  Fmt.pr "%d instances x %d trials each; %d trials total@."
-    (List.length families * List.length sizes * 3)
-    (List.length fault_counts * List.length models)
-    (List.length seq);
-  Fmt.pr "%-10s %12s %10s %10s@." "jobs" "wall" "speedup" "identical";
-  line ();
-  Fmt.pr "%-10d %9.3f s %10s %10s@." 1 t1 "1.00x" "-";
-  let rows =
-    List.map
-      (fun jobs ->
-        let tj, trials = time jobs in
-        let same = String.equal (doc trials) base in
-        Fmt.pr "%-10d %9.3f s %9.2fx %10b@." jobs tj (t1 /. tj) same;
-        (jobs, tj, t1 /. tj, same))
-      [ 2; 4 ]
-  in
-  let cores = Ssmst_parallel.Pool.cpu_count () in
-  let min_speedup = par_min_speedup () in
-  let gated = cores >= 4 in
-  let identical = List.for_all (fun (_, _, _, same) -> same) rows in
-  let speedup4 =
-    match List.find_opt (fun (j, _, _, _) -> j = 4) rows with
-    | Some (_, _, s, _) -> s
-    | None -> 0.
-  in
-  let within = identical && ((not gated) || speedup4 >= min_speedup) in
-  let json_path =
-    Option.value ~default:"BENCH_PR5.json" (Sys.getenv_opt "SSMST_BENCH_PR5_JSON")
-  in
-  let contents =
-    Printf.sprintf
-      {|{"pr":5,"cores":%d,"min_speedup":%.2f,"gated":%b,"trials":%d,"workloads":[%s],"identical":%b,"within_budget":%b}
-|}
-      cores min_speedup gated (List.length seq)
-      (String.concat ","
-         ((Printf.sprintf {|{"jobs":1,"wall_s":%.6f,"speedup":1.0,"identical":true}|} t1)
-         :: List.map
-              (fun (jobs, tj, s, same) ->
-                Printf.sprintf {|{"jobs":%d,"wall_s":%.6f,"speedup":%.3f,"identical":%b}|} jobs
-                  tj s same)
-              rows))
-      identical within
-  in
-  Fmt.pr "@.%d core(s); speedup gate (>= %.2fx at -j 4) %s@." cores min_speedup
-    (if gated then "enforced" else "informational (needs >= 4 cores)");
-  if not gated then Fmt.pr "gate skipped: %d cores (scaling gate needs >= 4)@." cores;
-  ignore (write_artifact_guarded ~json_path ~gated contents);
-  if not identical then begin
-    Fmt.pr "PAR determinism violated: parallel CSV/JSONL differ from sequential.@.";
-    exit 1
-  end;
-  if gated && speedup4 < min_speedup then begin
-    Fmt.pr "PAR scaling budget missed: %.2fx at -j 4 (target %.2fx).@." speedup4 min_speedup;
-    exit 1
-  end
+  scaling ~id:"PAR" ~key:"jobs" ~flag:"-j" ~pr:5
+    ~fields_post:(Printf.sprintf {|"trials":%d,|} (instances * per_instance))
+    ~min_speedup:(max 1.0 (env_knob "SSMST_PAR_MIN_SPEEDUP" float_of_string_opt ~default:2.5))
+    ~json_path:(artifact_path "SSMST_BENCH_PR5_JSON" "BENCH_PR5.json")
+    run
 
 (* ==================================================================== *)
 (* SCALE — the million-node unlock: flat engine over streamed CSR graphs *)
@@ -1279,16 +1177,6 @@ let vm_hwm_kb () =
       in
       go None
 
-let scale_max_n () =
-  match Sys.getenv_opt "SSMST_SCALE_MAX_N" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 1_000_000)
-  | None -> 1_000_000
-
-let scale_min_rps () =
-  match Sys.getenv_opt "SSMST_SCALE_MIN_RPS" with
-  | Some s -> ( try float_of_string s with _ -> 0.25)
-  | None -> 0.25
-
 (* the streamed instance of each family closest to the target size *)
 let scale_instance family target seed =
   match family with
@@ -1309,7 +1197,8 @@ let fig_scale () =
   header "SCALE — flat engine over streamed CSR instances (packed ss-bfs election)";
   let module P = Ssmst_protocols.Ss_bfs.P in
   let module F = Network.Flat (P) in
-  let max_n = scale_max_n () and min_rps = scale_min_rps () in
+  let max_n = max 1 (env_knob "SSMST_SCALE_MAX_N" int_of_string_opt ~default:1_000_000) in
+  let min_rps = env_knob "SSMST_SCALE_MIN_RPS" float_of_string_opt ~default:0.25 in
   let sizes = List.filter (fun n -> n <= max_n) [ 10_000; 100_000; 1_000_000 ] in
   let rounds = 20 in
   (* SSMST_DOMAINS > 1 runs every instance's sync rounds domain-parallel;
@@ -1360,25 +1249,22 @@ let fig_scale () =
         budget_ok && rss_ok && rps >= min_rps)
       rows
   in
-  let json_path =
-    Option.value ~default:"BENCH_PR6.json" (Sys.getenv_opt "SSMST_BENCH_PR6_JSON")
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    {|{"pr":6,"engine":"flat","protocol":"ss-bfs","rounds":%d,"max_n":%d,"domains":%d,"min_rounds_per_sec":%.2f,"workloads":[%s],"within_budget":%b}
-|}
-    rounds max_n domains min_rps
-    (String.concat ","
-       (List.map
-          (fun (family, n, build_s, bpn, budget_ok, run_s, rps, rss, acc, rss_ok) ->
-            Printf.sprintf
-              {|{"family":"%s","n":%d,"build_s":%.3f,"bytes_per_node":%d,"log_budget_ok":%b,"run_s":%.3f,"rounds_per_sec":%.1f,"rss_delta_mb":%.1f,"accounted_mb":%.1f,"rss_ok":%b}|}
-              family n build_s bpn budget_ok run_s rps rss acc rss_ok)
-          rows))
-    within;
-  close_out oc;
   Fmt.pr "@.modeled bound: 64 * ceil(log2 n) bits/node; measured: 8 * words bytes/node.@.";
-  Fmt.pr "(machine-readable results written to %s)@." json_path;
+  ignore
+    (write_artifact_guarded ~gated:true
+       ~json_path:(artifact_path "SSMST_BENCH_PR6_JSON" "BENCH_PR6.json")
+       (Printf.sprintf
+          {|{"pr":6,"engine":"flat","protocol":"ss-bfs","rounds":%d,"max_n":%d,"domains":%d,"min_rounds_per_sec":%.2f,"workloads":[%s],"within_budget":%b}
+|}
+          rounds max_n domains min_rps
+          (String.concat ","
+             (List.map
+                (fun (family, n, build_s, bpn, budget_ok, run_s, rps, rss, acc, rss_ok) ->
+                  Printf.sprintf
+                    {|{"family":"%s","n":%d,"build_s":%.3f,"bytes_per_node":%d,"log_budget_ok":%b,"run_s":%.3f,"rounds_per_sec":%.1f,"rss_delta_mb":%.1f,"accounted_mb":%.1f,"rss_ok":%b}|}
+                    family n build_s bpn budget_ok run_s rps rss acc rss_ok)
+                rows))
+          within));
   if not within then begin
     Fmt.pr "SCALE gates missed (see the budget/rss columns above).@.";
     exit 1
@@ -1388,106 +1274,27 @@ let fig_scale () =
 (* DOMAINS — intra-instance scaling: Flat sync rounds across domains     *)
 (* ==================================================================== *)
 
-(* The tentpole acceptance experiment: one large Flat instance, its sync
-   rounds sharded across -d 1/2/4 domains.  Byte-identity of the register
-   file and the metrics CSV row across every domain count is checked
-   unconditionally on every run; the >= 2x @ -d 4 speedup gate is
-   core-aware — enforced only on >= 4 cores AND a multicore runtime
-   (SSMST_DOMAIN_MIN_SPEEDUP overrides the target).  Periodic
-   deterministic fault bursts keep the frontier wide: a converged election
-   is quiescent and has nothing to parallelize.  Results land in
-   BENCH_PR7.json (or $SSMST_BENCH_PR7_JSON), written through the same
-   gated-artifact guard as PAR. *)
-
-let domains_min_speedup () =
-  match Sys.getenv_opt "SSMST_DOMAIN_MIN_SPEEDUP" with
-  | Some s -> ( try max 1.0 (float_of_string s) with _ -> 2.0)
-  | None -> 2.0
-
-let domains_target_n () =
-  match Sys.getenv_opt "SSMST_DOMAINS_N" with
-  | Some s -> ( try max 1024 (int_of_string s) with _ -> 250_000)
-  | None -> 250_000
-
+(* The grid-burst workload (n = SSMST_DOMAINS_N, default 250k) with its
+   sync rounds sharded across -d 1/2/4 domains: the register file and the
+   metrics CSV row must be byte-identical at every domain count, and -d 4
+   must be >= 2x faster on a gated host (SSMST_DOMAIN_MIN_SPEEDUP
+   overrides).  The bursts keep the frontier wide: a converged election is
+   quiescent and has nothing to parallelize.  Results land in
+   BENCH_PR7.json (or $SSMST_BENCH_PR7_JSON). *)
 let fig_domains () =
   header "DOMAINS — domain-parallel sync rounds on one Network.Flat instance";
-  let module P = Ssmst_protocols.Ss_bfs.P in
-  let module F = Network.Flat (P) in
-  let target = domains_target_n () in
-  let side = max 2 (int_of_float (sqrt (float_of_int target))) in
-  let g = Gen.stream_grid ~seed:7700 side side in
-  let rounds = 12 in
-  let run d =
-    let net = F.create ~domains:d g in
-    let (), s =
-      wall (fun () ->
-          for r = 1 to rounds do
-            (* a burst every 4 rounds, same seeds at every -d *)
-            if r mod 4 = 1 then
-              ignore (F.inject net (Gen.rng (9000 + r)) (Fault.uniform ~count:64));
-            F.round net Scheduler.Sync
-          done)
-    in
-    (s, F.registers net, Metrics.to_csv_row (F.metrics net))
-  in
+  let n = max 1024 (env_knob "SSMST_DOMAINS_N" int_of_string_opt ~default:250_000) in
+  let g, run = grid_burst ~seed:7700 ~faults:9000 n in
+  let multicore = Ssmst_parallel.Domain_pool.available in
   Fmt.pr "grid n=%d, %d sync rounds with fault bursts; multicore runtime: %b@." (Graph.n g)
-    rounds Ssmst_parallel.Domain_pool.available;
-  Fmt.pr "%-10s %12s %10s %10s@." "domains" "wall" "speedup" "identical";
-  line ();
-  let t1, regs1, csv1 = run 1 in
-  Fmt.pr "%-10d %9.3f s %10s %10s@." 1 t1 "1.00x" "-";
-  let rows =
-    List.map
-      (fun d ->
-        let td, regs, csv = run d in
-        let same = regs = regs1 && String.equal csv csv1 in
-        Fmt.pr "%-10d %9.3f s %9.2fx %10b@." d td (t1 /. td) same;
-        (d, td, t1 /. td, same))
-      [ 2; 4 ]
-  in
-  let cores = Ssmst_parallel.Pool.cpu_count () in
-  let min_speedup = domains_min_speedup () in
-  let gated = cores >= 4 && Ssmst_parallel.Domain_pool.available in
-  let identical = List.for_all (fun (_, _, _, same) -> same) rows in
-  let speedup4 =
-    match List.find_opt (fun (d, _, _, _) -> d = 4) rows with
-    | Some (_, _, s, _) -> s
-    | None -> 0.
-  in
-  let within = identical && ((not gated) || speedup4 >= min_speedup) in
-  let json_path =
-    Option.value ~default:"BENCH_PR7.json" (Sys.getenv_opt "SSMST_BENCH_PR7_JSON")
-  in
-  let contents =
-    Printf.sprintf
-      {|{"pr":7,"engine":"flat","protocol":"ss-bfs","n":%d,"rounds":%d,"cores":%d,"min_speedup":%.2f,"gated":%b,"workloads":[%s],"identical":%b,"within_budget":%b}
-|}
-      (Graph.n g) rounds cores min_speedup gated
-      (String.concat ","
-         ((Printf.sprintf {|{"domains":1,"wall_s":%.6f,"speedup":1.0,"identical":true}|} t1)
-         :: List.map
-              (fun (d, td, s, same) ->
-                Printf.sprintf {|{"domains":%d,"wall_s":%.6f,"speedup":%.3f,"identical":%b}|} d
-                  td s same)
-              rows))
-      identical within
-  in
-  Fmt.pr "@.%d core(s); speedup gate (>= %.2fx at -d 4) %s@." cores min_speedup
-    (if gated then "enforced"
-     else if not Ssmst_parallel.Domain_pool.available then
-       "informational (sequential runtime — OCaml < 5.0)"
-     else "informational (needs >= 4 cores)");
-  if not gated then Fmt.pr "gate skipped: %d cores (scaling gate needs >= 4)@." cores;
-  ignore (write_artifact_guarded ~json_path ~gated contents);
-  if not identical then begin
-    Fmt.pr "DOMAINS determinism violated: registers/metrics differ from -d 1.@.";
-    exit 1
-  end;
-  if gated && speedup4 < min_speedup then begin
-    Fmt.pr "DOMAINS scaling budget missed: %.2fx at -d 4 (target %.2fx).@." speedup4
-      min_speedup;
-    exit 1
-  end
+    burst_rounds multicore;
+  scaling ~id:"DOMAINS" ~key:"domains" ~flag:"-d" ~pr:7 ~multicore
+    ~fields_pre:
+      (Printf.sprintf {|"engine":"flat","protocol":"ss-bfs","n":%d,"rounds":%d,|} (Graph.n g)
+         burst_rounds)
+    ~min_speedup:(max 1.0 (env_knob "SSMST_DOMAIN_MIN_SPEEDUP" float_of_string_opt ~default:2.0))
+    ~json_path:(artifact_path "SSMST_BENCH_PR7_JSON" "BENCH_PR7.json")
+    run
 
 (* ==================================================================== *)
 (* REPORT — merge every BENCH_*.json into one trend table                *)

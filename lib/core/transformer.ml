@@ -169,10 +169,20 @@ let install (t : t) =
     t.monitor <- Some mon;
     Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net))
   end;
+  (* After an injection the run is the injection-to-alarm window: it runs
+     inside a [detect] phase, so the detection's engine rounds nest under
+     it and its wall time covers them; the detection rounds are charged
+     there too. *)
   let run_with_faults faults budget =
+    let window f = if faults = [] then f () else Probe.with_ "detect" f in
+    window @@ fun () ->
     let executed, reached = Net.run_until net t.daemon ~max_rounds:budget Net.any_alarm in
     t.peak_bits <- max t.peak_bits (Net.peak_bits net);
-    if reached then `Alarm (executed, Net.detection_distance net ~faults) else `Quiet
+    if reached then begin
+      Probe.charge ~rounds:executed ();
+      `Alarm (executed, Net.detection_distance net ~faults)
+    end
+    else `Quiet
   in
   t.run_verify <- run_with_faults [];
   t.inject <-
@@ -239,7 +249,6 @@ let advance (t : t) ~rounds =
         t.history <- Quiescent rounds :: t.history;
         false
     | `Alarm (dt, dist) ->
-        Probe.with_ "detect" (fun () -> Probe.charge ~rounds:dt ());
         Probe.charge ~rounds:(2 * Graph.n t.graph) ();  (* the reset wave *)
         t.total_rounds <- t.total_rounds + dt + (2 * Graph.n t.graph);
         t.history <- Detected { rounds = dt; distance = dist } :: t.history;

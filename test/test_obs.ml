@@ -934,6 +934,28 @@ let test_report_stabilize () =
       Alcotest.(check bool) "json says monitors ok" true (contains j {|"monitors_ok":true|}))
     report_inputs
 
+(* The transformer runs each injection-to-alarm window inside its
+   [detect] phase: on a fake clock (1 ms per reading) the phase's wall
+   time must cover its make.* rounds, not just the tick of a charge. *)
+let test_profile_detect_covers_window () =
+  let ledger = Telemetry.fake () in
+  let p = { Observatory.default_params with Observatory.n = 32; epochs = 1 } in
+  let r = Observatory.run ledger ~scenario:"stabilize" p in
+  Alcotest.(check bool) "monitors ok" true (Report.all_monitors_ok r);
+  let detect = phase_at ledger [ "epoch 0"; "detect" ] in
+  let rounds =
+    List.filter
+      (fun (c : Telemetry.phase) -> String.starts_with ~prefix:"make." c.name)
+      (Telemetry.children detect)
+  in
+  Alcotest.(check bool) "detect has make.* children" true (rounds <> []);
+  Alcotest.(check bool) "detect charges its rounds" true (detect.rounds > 0);
+  let inner = List.fold_left (fun acc (c : Telemetry.phase) -> acc +. c.wall_s) 0. rounds in
+  Alcotest.(check bool)
+    (Fmt.str "detect wall %.3f s covers its make.* rows (%.3f s)" detect.wall_s inner)
+    true
+    (detect.wall_s > inner && detect.wall_s > 0.001)
+
 let suite =
   [
     Alcotest.test_case "hist: record/min/max/quantiles" `Quick test_hist_basics;
@@ -978,4 +1000,6 @@ let suite =
     Alcotest.test_case "report: construct scenario" `Quick test_report_construct;
     Alcotest.test_case "report: stabilize scenario" `Quick test_report_stabilize;
     Alcotest.test_case "report: verify scenario" `Quick test_report_verify;
+    Alcotest.test_case "profile: detect phase covers the detection rounds" `Quick
+      test_profile_detect_covers_window;
   ]
